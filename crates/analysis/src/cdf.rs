@@ -144,6 +144,19 @@ impl Histogram {
         self.count
     }
 
+    /// An upper bound on the JSON length of a histogram of `bins` bins,
+    /// every counter at its widest rendering.
+    pub fn max_encoded_len(bins: usize) -> usize {
+        // Keys and brackets.
+        const FIXED: usize = 48;
+        FIXED.saturating_add((bins + 3).saturating_mul(crate::pairs::INT_JSON))
+    }
+
+    /// Number of equal-width bins over `(0, 1]`.
+    pub fn bin_count(&self) -> usize {
+        self.bins.len()
+    }
+
     /// Exact zeros recorded.
     pub fn zeros(&self) -> u64 {
         self.zeros
@@ -221,10 +234,10 @@ impl serde::Deserialize for Histogram {
         if h.bins.is_empty() {
             return Err(serde::Error::new("Histogram: bins must be non-empty"));
         }
-        let binned: u64 = h.bins.iter().sum();
-        if h.count != h.zeros + binned {
+        let binned = h.bins.iter().try_fold(h.zeros, |acc, &b| acc.checked_add(b));
+        if binned != Some(h.count) {
             return Err(serde::Error::new(format!(
-                "Histogram: count {} != zeros {} + binned {binned}",
+                "Histogram: count {} != zeros {} + the binned values",
                 h.count, h.zeros
             )));
         }

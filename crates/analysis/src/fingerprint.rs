@@ -35,6 +35,21 @@ impl Fnv {
         }
     }
 
+    /// Absorbs `count` zero bytes in O(log count): a zero byte leaves
+    /// the xor step a no-op, so each one only multiplies by the prime,
+    /// and `count` of them multiply by `PRIME^count` (mod 2⁶⁴).
+    pub fn write_zeros(&mut self, count: u64) {
+        let (mut base, mut exp, mut pow) = (Self::PRIME, count, 1u64);
+        while exp > 0 {
+            if exp & 1 == 1 {
+                pow = pow.wrapping_mul(base);
+            }
+            base = base.wrapping_mul(base);
+            exp >>= 1;
+        }
+        self.0 = self.0.wrapping_mul(pow);
+    }
+
     /// Absorbs a `u64` (little-endian).
     pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
@@ -80,6 +95,19 @@ mod tests {
         let mut f = Fnv::new();
         f.write(b"a");
         assert_eq!(f.finish(), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn zero_runs_fold_like_zero_bytes() {
+        for count in [0u64, 1, 2, 7, 8, 80, 81, 1000, 4097] {
+            let mut slow = Fnv::new();
+            slow.write(b"x");
+            slow.write(&vec![0; count as usize]);
+            let mut fast = Fnv::new();
+            fast.write(b"x");
+            fast.write_zeros(count);
+            assert_eq!(slow.finish(), fast.finish(), "{count} zero bytes");
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! and histograms, so a full two-week, 30-host run (tens of millions of
 //! samples) fits in a few megabytes.
 //!
+//! * [`pairs`] — the probed pair set every per-path accumulator is
+//!   keyed by, so results are sized by the probe mesh, not by n²;
 //! * [`loss`] — per-(path, method) loss and latency counters; produces
 //!   the 1lp/2lp/totlp/clp/lat columns of Tables 5 and 7 and the
 //!   per-path series behind Figures 2, 4 and 5;
@@ -24,6 +26,7 @@ pub mod figures;
 pub mod fingerprint;
 pub mod latency;
 pub mod loss;
+pub mod pairs;
 pub mod tables;
 pub mod windows;
 
@@ -31,6 +34,7 @@ pub use cdf::{Cdf, Histogram};
 pub use fingerprint::Fnv;
 pub use figures::{Figure, Series};
 pub use loss::{LossAccum, MethodSummary};
+pub use pairs::PairIndex;
 pub use tables::{
     render_table5, render_table6, render_table7, scenario_stamp, Table5Row, Table6, Table7Row,
 };

@@ -11,7 +11,9 @@
 //! * **lat** — mean one-way latency of the first copy to arrive.
 
 use crate::latency::corrected_path_means;
+use crate::pairs::{PairIndex, FLOAT_JSON, INT_JSON};
 use netsim::HostId;
+use std::sync::Arc;
 use trace::PairOutcome;
 
 /// Counters for one (method, src, dst) cell.
@@ -61,7 +63,7 @@ pub struct MethodSummary {
 /// The per-cell counters of [`Cell`], structure-of-arrays: summaries,
 /// curves and merges scan one counter across every cell, so each scan
 /// walks a dense array instead of striding 80-byte structs.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CellArrays {
     pairs: Vec<u64>,
     pairs_lost: Vec<u64>,
@@ -91,10 +93,6 @@ impl CellArrays {
         }
     }
 
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
     fn get(&self, i: usize) -> Cell {
         Cell {
             pairs: self.pairs[i],
@@ -109,34 +107,37 @@ impl CellArrays {
             lat_cnt: self.lat_cnt[i],
         }
     }
-
-    fn from_cells(cells: &[Cell]) -> Self {
-        let mut a = CellArrays::with_len(cells.len());
-        for (i, c) in cells.iter().enumerate() {
-            a.pairs[i] = c.pairs;
-            a.pairs_lost[i] = c.pairs_lost;
-            a.l1_sent[i] = c.l1_sent;
-            a.l1_lost[i] = c.l1_lost;
-            a.l2_sent[i] = c.l2_sent;
-            a.l2_lost[i] = c.l2_lost;
-            a.both_lost[i] = c.both_lost;
-            a.first_lost_with_second[i] = c.first_lost_with_second;
-            a.lat_sum_us[i] = c.lat_sum_us;
-            a.lat_cnt[i] = c.lat_cnt;
-        }
-        a
-    }
-
-    fn to_cells(&self) -> Vec<Cell> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
 }
 
+/// Bytes one [`Cell`] folds into a digest: ten 8-byte counters.
+const CELL_DIGEST_BYTES: u64 = 80;
+
+/// The wire's cell columns, one per [`Cell`] counter.
+const CELL_COLUMNS: [&str; 10] = [
+    "pairs",
+    "pairs_lost",
+    "l1_sent",
+    "l1_lost",
+    "l2_sent",
+    "l2_lost",
+    "both_lost",
+    "first_lost_with_second",
+    "lat_sum_us",
+    "lat_cnt",
+];
+
 /// Streaming per-path loss/latency accumulator.
+///
+/// Cells exist only for the pairs the campaign probes (its
+/// [`PairIndex`]): `n · k` of them on a sparse `k`-regular mesh, the full
+/// `n · n` grid on a clique. Digests, summaries and per-path series are
+/// exactly those of the historical dense grid, whose unprobed cells were
+/// all zero.
 #[derive(Debug)]
 pub struct LossAccum {
-    n: usize,
+    pairs: Arc<PairIndex>,
     methods: usize,
+    /// Laid out `method * pairs.len() + slot`.
     cells: CellArrays,
     /// Redundancy degree: the maximum legs any method sends. The base
     /// [`Cell`] counters cover the paper's pair shape (legs 1–2); when
@@ -153,33 +154,51 @@ pub struct LossAccum {
 }
 
 impl LossAccum {
-    /// Creates an accumulator for `methods` methods over `n` hosts, for
-    /// method sets of at most two legs (the paper's pairs).
+    /// Creates a clique accumulator for `methods` methods over `n`
+    /// hosts, for method sets of at most two legs (the paper's pairs).
     pub fn new(n: usize, methods: usize) -> Self {
         Self::with_depth(n, methods, 2)
     }
 
-    /// Creates an accumulator tracking best-of-first-j loss for methods
-    /// of up to `max_legs` redundant legs.
+    /// Creates a clique accumulator tracking best-of-first-j loss for
+    /// methods of up to `max_legs` redundant legs.
     pub fn with_depth(n: usize, methods: usize, max_legs: usize) -> Self {
+        Self::with_pairs(Arc::new(PairIndex::clique(n)), methods, max_legs)
+    }
+
+    /// Creates an accumulator with cells for exactly the pairs in
+    /// `pairs` (share one index between a slice's accumulators).
+    pub fn with_pairs(pairs: Arc<PairIndex>, methods: usize, max_legs: usize) -> Self {
         let max_legs = max_legs.max(1);
-        let deep =
-            if max_legs > 2 { vec![0; n * n * methods * max_legs] } else { Vec::new() };
-        LossAccum { n, methods, cells: CellArrays::with_len(n * n * methods), max_legs, deep }
+        let cells = pairs.len() * methods;
+        let deep = if max_legs > 2 { vec![0; cells * max_legs] } else { Vec::new() };
+        LossAccum { pairs, methods, cells: CellArrays::with_len(cells), max_legs, deep }
     }
 
     #[inline]
-    fn idx(&self, method: u8, src: HostId, dst: HostId) -> usize {
+    fn idx(&self, method: u8, src: HostId, dst: HostId) -> Option<usize> {
         debug_assert!((method as usize) < self.methods);
-        method as usize * self.n * self.n + src.idx() * self.n + dst.idx()
+        self.pairs.slot(src, dst).map(|slot| method as usize * self.pairs.len() + slot)
+    }
+
+    /// The cell range of one method.
+    fn range(&self, method: u8) -> std::ops::Range<usize> {
+        let base = method as usize * self.pairs.len();
+        base..base + self.pairs.len()
     }
 
     /// Ingests one resolved probe pair (discarded samples are skipped).
+    ///
+    /// # Panics
+    ///
+    /// When the outcome's path is not in the accumulator's pair set.
     pub fn on_outcome(&mut self, o: &PairOutcome) {
         if o.discarded {
             return;
         }
-        let i = self.idx(o.method, o.src, o.dst);
+        let Some(i) = self.idx(o.method, o.src, o.dst) else {
+            panic!("outcome for unprobed pair {} -> {}", o.src.0, o.dst.0);
+        };
         let c = &mut self.cells;
         c.pairs[i] += 1;
         if o.all_lost() {
@@ -228,11 +247,16 @@ impl LossAccum {
     /// callers must merge in a fixed order (the shard runner always
     /// merges ascending by slice index).
     ///
-    /// Panics if the shapes (host count, method count) differ.
+    /// Panics if the shapes (host count, method count, depth, pair set)
+    /// differ.
     pub fn merge(&mut self, other: &LossAccum) {
-        assert_eq!(self.n, other.n, "host counts must match");
+        assert_eq!(self.n(), other.n(), "host counts must match");
         assert_eq!(self.methods, other.methods, "method counts must match");
         assert_eq!(self.max_legs, other.max_legs, "redundancy depths must match");
+        assert!(
+            Arc::ptr_eq(&self.pairs, &other.pairs) || self.pairs == other.pairs,
+            "probe pair sets must match"
+        );
         for (a, b) in self.deep.iter_mut().zip(&other.deep) {
             *a += b;
         }
@@ -264,44 +288,76 @@ impl LossAccum {
     /// Feeds the accumulator's exact state (every counter and the bit
     /// patterns of every latency sum) into a fingerprint fold.
     ///
-    /// The depth extension is folded only when it exists (`max_legs >
-    /// 2`): pair-shaped accumulators must keep producing the exact
-    /// digest stream they did before k-leg probes existed, so every
-    /// recorded scenario fingerprint golden stays valid.
+    /// The fold is that of the dense `n × n` grid in `(method, src,
+    /// dst)` order — every recorded fingerprint golden depends on it —
+    /// with each unprobed pair folding as the zeros its cell would have
+    /// held. The depth extension is folded only when it exists
+    /// (`max_legs > 2`): pair-shaped accumulators must keep producing
+    /// the exact digest stream they did before k-leg probes existed.
     pub fn digest(&self, fnv: &mut crate::fingerprint::Fnv) {
-        fnv.write_u64(self.n as u64);
+        fnv.write_u64(self.n() as u64);
         fnv.write_u64(self.methods as u64);
         if !self.deep.is_empty() {
             fnv.write_u64(self.max_legs as u64);
-            for &v in &self.deep {
-                fnv.write_u64(v);
-            }
+            let legs = self.max_legs;
+            self.pairs.fold_dense(self.methods, fnv, 8 * legs as u64, |fnv, i| {
+                for &v in &self.deep[i * legs..(i + 1) * legs] {
+                    fnv.write_u64(v);
+                }
+            });
         }
-        // The fold order is the pair-era per-cell interleaving — every
-        // recorded fingerprint golden depends on it — so this gathers
-        // across the arrays rather than streaming each in turn.
-        for i in 0..self.cells.len() {
-            fnv.write_u64(self.cells.pairs[i]);
-            fnv.write_u64(self.cells.pairs_lost[i]);
-            fnv.write_u64(self.cells.l1_sent[i]);
-            fnv.write_u64(self.cells.l1_lost[i]);
-            fnv.write_u64(self.cells.l2_sent[i]);
-            fnv.write_u64(self.cells.l2_lost[i]);
-            fnv.write_u64(self.cells.both_lost[i]);
-            fnv.write_u64(self.cells.first_lost_with_second[i]);
-            fnv.write_f64(self.cells.lat_sum_us[i]);
-            fnv.write_u64(self.cells.lat_cnt[i]);
-        }
+        // The per-cell interleaving is the pair-era order, so this
+        // gathers across the arrays rather than streaming each in turn.
+        let c = &self.cells;
+        self.pairs.fold_dense(self.methods, fnv, CELL_DIGEST_BYTES, |fnv, i| {
+            fnv.write_u64(c.pairs[i]);
+            fnv.write_u64(c.pairs_lost[i]);
+            fnv.write_u64(c.l1_sent[i]);
+            fnv.write_u64(c.l1_lost[i]);
+            fnv.write_u64(c.l2_sent[i]);
+            fnv.write_u64(c.l2_lost[i]);
+            fnv.write_u64(c.both_lost[i]);
+            fnv.write_u64(c.first_lost_with_second[i]);
+            fnv.write_f64(c.lat_sum_us[i]);
+            fnv.write_u64(c.lat_cnt[i]);
+        });
     }
 
-    /// Read access to one cell (assembled from the per-counter arrays).
+    /// Read access to one cell (assembled from the per-counter arrays);
+    /// an unprobed pair reads as all zeros.
     pub fn cell(&self, method: u8, src: HostId, dst: HostId) -> Cell {
-        self.cells.get(self.idx(method, src, dst))
+        self.idx(method, src, dst).map_or_else(Cell::default, |i| self.cells.get(i))
     }
 
     /// Host count.
     pub fn n(&self) -> usize {
-        self.n
+        self.pairs.n()
+    }
+
+    /// Method count.
+    pub fn methods(&self) -> usize {
+        self.methods
+    }
+
+    /// An upper bound on the JSON length of an accumulator over `pairs`
+    /// for `methods` methods of up to `max_legs` legs, every counter at
+    /// its widest rendering: what a result frame may honestly spend on
+    /// it.
+    pub fn max_encoded_len(pairs: &PairIndex, methods: usize, max_legs: usize) -> usize {
+        let cells = pairs.len().saturating_mul(methods);
+        let deep = if max_legs > 2 { cells.saturating_mul(max_legs) } else { 0 };
+        // Keys, scalar fields and brackets.
+        const FIXED: usize = 512;
+        let per_cell = (CELL_COLUMNS.len() - 1) * INT_JSON + FLOAT_JSON;
+        FIXED
+            .saturating_add(pairs.max_encoded_len())
+            .saturating_add(cells.saturating_mul(per_cell))
+            .saturating_add(deep.saturating_mul(INT_JSON))
+    }
+
+    /// The probed pair set the cells are keyed by.
+    pub fn pairs(&self) -> &Arc<PairIndex> {
+        &self.pairs
     }
 
     /// The accumulator's redundancy degree (maximum legs any method
@@ -320,8 +376,7 @@ impl LossAccum {
     /// yield a flat curve. Denominator: probes observed (the summary's
     /// `pairs`).
     pub fn best_of_first_pct(&self, method: u8) -> Vec<f64> {
-        let base = method as usize * self.n * self.n;
-        let range = base..base + self.n * self.n;
+        let range = self.range(method);
         let pairs: u64 = self.cells.pairs[range.clone()].iter().sum();
         let pct = |num: u64| if pairs == 0 { 0.0 } else { 100.0 * num as f64 / pairs as f64 };
         if self.deep.is_empty() {
@@ -335,9 +390,8 @@ impl LossAccum {
         }
         (1..=self.max_legs)
             .map(|j| {
-                let lost: u64 = (base..base + self.n * self.n)
-                    .map(|cell| self.deep[cell * self.max_legs + j - 1])
-                    .sum();
+                let lost: u64 =
+                    range.clone().map(|cell| self.deep[cell * self.max_legs + j - 1]).sum();
                 pct(lost)
             })
             .collect()
@@ -345,8 +399,7 @@ impl LossAccum {
 
     /// Summary row for a method (the Table 5 / Table 7 columns).
     pub fn summary(&self, method: u8) -> MethodSummary {
-        let base = method as usize * self.n * self.n;
-        let range = base..base + self.n * self.n;
+        let range = self.range(method);
         let c = &self.cells;
         let t = Cell {
             pairs: c.pairs[range.clone()].iter().sum(),
@@ -382,61 +435,43 @@ impl LossAccum {
         }
     }
 
+    /// Every probed path with its cell for `method`, in `(src, dst)`
+    /// order, self pairs skipped.
+    fn paths(&self, method: u8) -> impl Iterator<Item = (HostId, HostId, Cell)> + '_ {
+        let base = self.range(method).start;
+        self.pairs
+            .iter()
+            .enumerate()
+            .filter(|(_, (s, d))| s != d)
+            .map(move |(slot, (s, d))| (s, d, self.cells.get(base + slot)))
+    }
+
     /// Per-path end-to-end loss rates (fraction), for Figure 2.
     pub fn per_path_loss(&self, method: u8) -> Vec<(HostId, HostId, f64)> {
-        let mut v = Vec::new();
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s == d {
-                    continue;
-                }
-                let c = self.cell(method, HostId(s as u16), HostId(d as u16));
-                if c.pairs > 0 {
-                    v.push((
-                        HostId(s as u16),
-                        HostId(d as u16),
-                        c.pairs_lost as f64 / c.pairs as f64,
-                    ));
-                }
-            }
-        }
-        v
+        self.paths(method)
+            .filter(|(_, _, c)| c.pairs > 0)
+            .map(|(s, d, c)| (s, d, c.pairs_lost as f64 / c.pairs as f64))
+            .collect()
     }
 
     /// Per-path conditional loss probabilities (percent) for paths that
     /// observed at least `min_first_losses` first-packet losses — the
     /// population of Figure 4.
     pub fn per_path_clp(&self, method: u8, min_first_losses: u64) -> Vec<f64> {
-        let mut v = Vec::new();
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s == d {
-                    continue;
-                }
-                let c = self.cell(method, HostId(s as u16), HostId(d as u16));
-                if c.first_lost_with_second >= min_first_losses.max(1) {
-                    v.push(100.0 * c.both_lost as f64 / c.first_lost_with_second as f64);
-                }
-            }
-        }
-        v
+        self.paths(method)
+            .filter(|(_, _, c)| c.first_lost_with_second >= min_first_losses.max(1))
+            .map(|(_, _, c)| 100.0 * c.both_lost as f64 / c.first_lost_with_second as f64)
+            .collect()
     }
 
     /// Per-path mean latency in milliseconds, clock-skew corrected by
     /// averaging with the reverse path (§4.1).
     pub fn per_path_latency_ms(&self, method: u8) -> Vec<(HostId, HostId, f64)> {
-        let mut raw = Vec::new();
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s == d {
-                    continue;
-                }
-                let c = self.cell(method, HostId(s as u16), HostId(d as u16));
-                if c.lat_cnt > 0 {
-                    raw.push((s as u16, d as u16, c.lat_sum_us / c.lat_cnt as f64));
-                }
-            }
-        }
+        let raw: Vec<(u16, u16, f64)> = self
+            .paths(method)
+            .filter(|(_, _, c)| c.lat_cnt > 0)
+            .map(|(s, d, c)| (s.0, d.0, c.lat_sum_us / c.lat_cnt as f64))
+            .collect();
         corrected_path_means(&raw)
             .into_iter()
             .map(|(s, d, us)| (HostId(s), HostId(d), us / 1_000.0))
@@ -444,21 +479,35 @@ impl LossAccum {
     }
 }
 
-// Versioned wire format (v1): every private counter (and the exact f64
-// bit pattern of each latency sum, via serde_json's shortest-round-trip
-// float writer) crosses the wire, so a deserialized accumulator merges
-// byte-identically to one that never left memory. Unknown fields and
-// versions are rejected loudly.
+// Versioned wire format (v2): the probed pair set (`mesh`: `null` for
+// the clique) plus its cells only, column by column — every private
+// counter and the exact f64 bit pattern of each latency sum (via
+// serde_json's shortest-round-trip float writer) crosses the wire, so a
+// deserialized accumulator merges byte-identically to one that never
+// left memory. Unknown fields and versions are rejected loudly.
 impl serde::Serialize for LossAccum {
     fn to_value(&self) -> serde::Value {
+        let c = &self.cells;
+        // In wire (and `Cell` field) order; see `CELL_COLUMNS`.
+        let cells = vec![
+            ("pairs".into(), c.pairs.to_value()),
+            ("pairs_lost".into(), c.pairs_lost.to_value()),
+            ("l1_sent".into(), c.l1_sent.to_value()),
+            ("l1_lost".into(), c.l1_lost.to_value()),
+            ("l2_sent".into(), c.l2_sent.to_value()),
+            ("l2_lost".into(), c.l2_lost.to_value()),
+            ("both_lost".into(), c.both_lost.to_value()),
+            ("first_lost_with_second".into(), c.first_lost_with_second.to_value()),
+            ("lat_sum_us".into(), c.lat_sum_us.to_value()),
+            ("lat_cnt".into(), c.lat_cnt.to_value()),
+        ];
         serde::Value::Map(vec![
-            ("v".into(), serde::Value::Int(1)),
-            ("n".into(), self.n.to_value()),
+            ("v".into(), serde::Value::Int(2)),
+            ("n".into(), self.n().to_value()),
             ("methods".into(), self.methods.to_value()),
             ("max_legs".into(), self.max_legs.to_value()),
-            // In-memory the cells are SoA; the wire keeps the v1
-            // `Vec<Cell>` shape.
-            ("cells".into(), self.cells.to_cells().to_value()),
+            ("mesh".into(), self.pairs.to_value()),
+            ("cells".into(), serde::Value::Map(cells)),
             ("deep".into(), self.deep.to_value()),
         ])
     }
@@ -466,56 +515,85 @@ impl serde::Serialize for LossAccum {
 
 impl serde::Deserialize for LossAccum {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let err = |msg: String| serde::Error::new(format!("LossAccum: {msg}"));
         let serde::Value::Map(entries) = v else {
-            return Err(serde::Error::new(format!("LossAccum: expected map, found {}", v.kind())));
+            return Err(err(format!("expected map, found {}", v.kind())));
         };
         for (k, _) in entries {
-            if !matches!(k.as_str(), "v" | "n" | "methods" | "max_legs" | "cells" | "deep") {
-                return Err(serde::Error::new(format!("LossAccum: unknown field `{k}`")));
+            if !matches!(k.as_str(), "v" | "n" | "methods" | "max_legs" | "mesh" | "cells" | "deep")
+            {
+                return Err(err(format!("unknown field `{k}`")));
             }
         }
         let version = u32::from_value(v.field("v")?)?;
-        if version != 1 {
-            return Err(serde::Error::new(format!(
-                "LossAccum: unsupported wire version {version} (this build speaks 1)"
-            )));
+        if version != 2 {
+            return Err(err(format!("unsupported wire version {version} (this build speaks 2)")));
         }
-        let wire_cells = Vec::<Cell>::from_value(v.field("cells")?)?;
-        let a = LossAccum {
-            n: usize::from_value(v.field("n")?)?,
-            methods: usize::from_value(v.field("methods")?)?,
-            cells: CellArrays::from_cells(&wire_cells),
-            max_legs: usize::from_value(v.field("max_legs")?)?,
-            deep: Vec::<u64>::from_value(v.field("deep")?)?,
+        let n = usize::from_value(v.field("n")?)?;
+        let pairs = PairIndex::from_value(n, v.field("mesh")?)?;
+        let methods = usize::from_value(v.field("methods")?)?;
+        let max_legs = usize::from_value(v.field("max_legs")?)?;
+        if max_legs == 0 {
+            return Err(err("max_legs must be >= 1".into()));
+        }
+        let want = pairs
+            .len()
+            .checked_mul(methods)
+            .ok_or_else(|| err(format!("{methods} methods overflow the cell count")))?;
+        let wire = v.field("cells")?;
+        let serde::Value::Map(cols) = wire else {
+            return Err(err(format!("cells: expected map, found {}", wire.kind())));
         };
-        if a.max_legs == 0 {
-            return Err(serde::Error::new("LossAccum: max_legs must be >= 1"));
-        }
-        let cells = a.n * a.n * a.methods;
-        if a.cells.len() != cells {
-            return Err(serde::Error::new(format!(
-                "LossAccum: {} cells for shape n={} methods={} (want {cells})",
-                a.cells.len(),
-                a.n,
-                a.methods
-            )));
-        }
-        // The depth extension exists exactly when max_legs > 2 (the
-        // pair-era digest invariant depends on this).
-        let deep = if a.max_legs > 2 { cells * a.max_legs } else { 0 };
-        if a.deep.len() != deep {
-            return Err(serde::Error::new(format!(
-                "LossAccum: {} deep counters for max_legs={} (want {deep})",
-                a.deep.len(),
-                a.max_legs
-            )));
-        }
-        for &s in &a.cells.lat_sum_us {
-            if !s.is_finite() {
-                return Err(serde::Error::new("LossAccum: non-finite latency sum"));
+        for (k, _) in cols {
+            if !CELL_COLUMNS.contains(&k.as_str()) {
+                return Err(err(format!("unknown cell column `{k}`")));
             }
         }
-        Ok(a)
+        let column = |name: &str| -> Result<Vec<u64>, serde::Error> {
+            let col = Vec::<u64>::from_value(wire.field(name)?)?;
+            if col.len() != want {
+                return Err(err(format!(
+                    "{} `{name}` cells for {} pairs x {methods} methods (want {want})",
+                    col.len(),
+                    pairs.len()
+                )));
+            }
+            Ok(col)
+        };
+        let lat_sum_us = Vec::<f64>::from_value(wire.field("lat_sum_us")?)?;
+        if lat_sum_us.len() != want {
+            return Err(err(format!(
+                "{} `lat_sum_us` cells for {} pairs x {methods} methods (want {want})",
+                lat_sum_us.len(),
+                pairs.len()
+            )));
+        }
+        if lat_sum_us.iter().any(|s| !s.is_finite()) {
+            return Err(err("non-finite latency sum".into()));
+        }
+        let cells = CellArrays {
+            pairs: column("pairs")?,
+            pairs_lost: column("pairs_lost")?,
+            l1_sent: column("l1_sent")?,
+            l1_lost: column("l1_lost")?,
+            l2_sent: column("l2_sent")?,
+            l2_lost: column("l2_lost")?,
+            both_lost: column("both_lost")?,
+            first_lost_with_second: column("first_lost_with_second")?,
+            lat_sum_us,
+            lat_cnt: column("lat_cnt")?,
+        };
+        // The depth extension exists exactly when max_legs > 2 (the
+        // pair-era digest invariant depends on this).
+        let deep = Vec::<u64>::from_value(v.field("deep")?)?;
+        let want_deep = if max_legs > 2 { want.saturating_mul(max_legs) } else { 0 };
+        if deep.len() != want_deep {
+            return Err(err(format!(
+                "{} deep counters for max_legs={max_legs} (want {want_deep})",
+                deep.len()
+            )));
+        }
+        Ok(LossAccum { pairs: Arc::new(pairs), methods, cells, max_legs, deep })
     }
 }
 
@@ -777,6 +855,38 @@ mod tests {
         a.digest(&mut fa);
         b.digest(&mut fb);
         assert_ne!(fa.finish(), fb.finish());
+    }
+
+    #[test]
+    fn max_encoded_len_bounds_the_widest_encoding() {
+        // Every counter at u64::MAX and every latency sum at the longest
+        // float rendering, on a mesh and a clique, with and without the
+        // depth extension.
+        let mesh = PairIndex::from_neighbor_lists(4, &[vec![1, 3], vec![0, 2], vec![3], vec![0]]);
+        for pairs in [mesh, PairIndex::clique(3)] {
+            for legs in [2, 4] {
+                let mut a = LossAccum::with_pairs(Arc::new(pairs.clone()), 3, legs);
+                let c = &mut a.cells;
+                for col in [
+                    &mut c.pairs,
+                    &mut c.pairs_lost,
+                    &mut c.l1_sent,
+                    &mut c.l1_lost,
+                    &mut c.l2_sent,
+                    &mut c.l2_lost,
+                    &mut c.both_lost,
+                    &mut c.first_lost_with_second,
+                    &mut c.lat_cnt,
+                ] {
+                    col.fill(u64::MAX);
+                }
+                c.lat_sum_us.fill(-1.2345678901234567e-308);
+                a.deep.fill(u64::MAX);
+                let len = serde_json::to_string(&a).unwrap().len();
+                let bound = LossAccum::max_encoded_len(&pairs, 3, legs);
+                assert!(len <= bound, "{} pairs, {legs} legs: {len} > {bound}", pairs.len());
+            }
+        }
     }
 
     #[test]

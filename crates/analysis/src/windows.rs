@@ -12,25 +12,21 @@
 //! per-method histogram and the threshold counters.
 
 use crate::cdf::Histogram;
+use crate::pairs::{PairIndex, INT_JSON};
 use netsim::SimDuration;
+use std::sync::Arc;
 use trace::PairOutcome;
-
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
-struct OpenWin {
-    window_idx: u64,
-    sent: u32,
-    lost: u32,
-    used: bool,
-}
 
 /// Streaming fixed-width window accumulator.
 ///
-/// The open-window cells are stored structure-of-arrays: the hot
-/// same-window path reads one `u64` per outcome and the close scan at a
-/// window boundary (or [`finish`](Self::finish)) walks a dense 8-byte
-/// array instead of 24-byte `OpenWin` structs. The wire format still
-/// speaks `Vec<OpenWin>` — serialization reconstructs it, so the v1
-/// shape is unchanged.
+/// One open-window cell per (method, probed pair) — keyed by the
+/// campaign's [`PairIndex`], like [`crate::LossAccum`] — stored
+/// structure-of-arrays: the hot same-window path reads one `u64` per
+/// outcome and the close scan at a window boundary (or
+/// [`finish`](Self::finish)) walks a dense 8-byte array. The cells exist
+/// only while windows can be open: they are allocated by the first
+/// outcome and freed by `finish`, so a finished accumulator — every
+/// slice result — holds just its per-method statistics.
 #[derive(Debug)]
 pub struct WindowAccum {
     width_us: u64,
@@ -42,10 +38,11 @@ pub struct WindowAccum {
     /// what `(0, 0)` encodes.
     cached_start_us: u64,
     cached_idx: u64,
-    n: usize,
+    pairs: Arc<PairIndex>,
     /// `0` = cell unused, else the open window's index plus one. The
     /// bias keeps "unused" and "open at window 0" distinct without a
-    /// separate `used` array.
+    /// separate `used` array. Laid out `method * pairs.len() + slot`;
+    /// empty (with `sent` and `lost`) while no window is open.
     win: Vec<u64>,
     sent: Vec<u32>,
     lost: Vec<u32>,
@@ -55,20 +52,28 @@ pub struct WindowAccum {
     windows: Vec<u64>,
 }
 
+/// Bins of each per-method loss-rate histogram.
+pub const HISTOGRAM_BINS: usize = 200;
+
 impl WindowAccum {
-    /// Creates an accumulator with the given window width.
+    /// Creates a clique accumulator with the given window width.
     pub fn new(n: usize, methods: usize, width: SimDuration) -> Self {
+        Self::with_pairs(Arc::new(PairIndex::clique(n)), methods, width)
+    }
+
+    /// Creates an accumulator with open-window cells for exactly the
+    /// pairs in `pairs`.
+    pub fn with_pairs(pairs: Arc<PairIndex>, methods: usize, width: SimDuration) -> Self {
         assert!(width.as_micros() > 0);
-        let cells = n * n * methods;
         WindowAccum {
             width_us: width.as_micros(),
             cached_start_us: 0,
             cached_idx: 0,
-            n,
-            win: vec![0; cells],
-            sent: vec![0; cells],
-            lost: vec![0; cells],
-            hist: (0..methods).map(|_| Histogram::new(200)).collect(),
+            pairs,
+            win: Vec::new(),
+            sent: Vec::new(),
+            lost: Vec::new(),
+            hist: (0..methods).map(|_| Histogram::new(HISTOGRAM_BINS)).collect(),
             thresholds: vec![[0; 10]; methods],
             windows: vec![0; methods],
         }
@@ -79,7 +84,7 @@ impl WindowAccum {
         if self.win[cell] == 0 || sent == 0 {
             return;
         }
-        let method = cell / (self.n * self.n);
+        let method = cell / self.pairs.len();
         let rate = lost as f64 / sent as f64;
         self.hist[method].push(rate);
         self.windows[method] += 1;
@@ -95,13 +100,21 @@ impl WindowAccum {
     }
 
     /// Ingests one resolved pair (discarded samples are skipped).
+    ///
+    /// # Panics
+    ///
+    /// When the outcome's path is not in the accumulator's pair set.
     pub fn on_outcome(&mut self, o: &PairOutcome) {
         if o.discarded {
             return;
         }
-        let cell = o.method as usize * self.n * self.n
-            + o.src.idx() * self.n
-            + o.dst.idx();
+        let Some(slot) = self.pairs.slot(o.src, o.dst) else {
+            panic!("outcome for unprobed pair {} -> {}", o.src.0, o.dst.0);
+        };
+        let cell = o.method as usize * self.pairs.len() + slot;
+        if self.win.is_empty() {
+            self.open_cells();
+        }
         let sent_us = o.sent.as_micros();
         // Same-window fast path: a wrapping range check against the
         // cached window start. `wrapping_sub` sends out-of-order sends
@@ -133,14 +146,22 @@ impl WindowAccum {
         }
     }
 
-    /// Closes every open window (end of run).
+    /// Allocates the (all-unused) open-window cells.
+    fn open_cells(&mut self) {
+        let cells = self.pairs.len() * self.hist.len();
+        self.win = vec![0; cells];
+        self.sent = vec![0; cells];
+        self.lost = vec![0; cells];
+    }
+
+    /// Closes every open window and frees the cells (end of run).
     pub fn finish(&mut self) {
         for cell in 0..self.win.len() {
             self.close(cell);
         }
-        self.win.fill(0);
-        self.sent.fill(0);
-        self.lost.fill(0);
+        self.win = Vec::new();
+        self.sent = Vec::new();
+        self.lost = Vec::new();
     }
 
     /// True when no window is open (i.e. [`finish`](Self::finish) ran
@@ -158,8 +179,12 @@ impl WindowAccum {
     /// (width, host count, method count) differ.
     pub fn merge(&mut self, other: &WindowAccum) {
         assert_eq!(self.width_us, other.width_us, "window widths must match");
-        assert_eq!(self.n, other.n, "host counts must match");
+        assert_eq!(self.pairs.n(), other.pairs.n(), "host counts must match");
         assert_eq!(self.hist.len(), other.hist.len(), "method counts must match");
+        assert!(
+            Arc::ptr_eq(&self.pairs, &other.pairs) || self.pairs == other.pairs,
+            "probe pair sets must match"
+        );
         assert!(
             self.is_finished() && other.is_finished(),
             "merge requires finished accumulators (no open windows)"
@@ -181,7 +206,7 @@ impl WindowAccum {
     /// fingerprint fold.
     pub fn digest(&self, fnv: &mut crate::fingerprint::Fnv) {
         fnv.write_u64(self.width_us);
-        fnv.write_u64(self.n as u64);
+        fnv.write_u64(self.pairs.n() as u64);
         for h in &self.hist {
             h.digest(fnv);
         }
@@ -193,6 +218,36 @@ impl WindowAccum {
         for &w in &self.windows {
             fnv.write_u64(w);
         }
+    }
+
+    /// An upper bound on the JSON length of a *finished* accumulator over
+    /// `pairs` for `methods` methods (no open cells), every counter at
+    /// its widest rendering: what a result frame may honestly spend on
+    /// it.
+    pub fn max_finished_encoded_len(pairs: &PairIndex, methods: usize) -> usize {
+        // Keys, scalar fields and brackets.
+        const FIXED: usize = 256;
+        // Histogram, the bracketed row of ten threshold counters and the
+        // windows count.
+        let per_method = Histogram::max_encoded_len(HISTOGRAM_BINS) + 12 * INT_JSON;
+        FIXED
+            .saturating_add(pairs.max_encoded_len())
+            .saturating_add(methods.saturating_mul(per_method))
+    }
+
+    /// The probed pair set the open-window cells are keyed by.
+    pub fn pairs(&self) -> &Arc<PairIndex> {
+        &self.pairs
+    }
+
+    /// Window width.
+    pub fn width(&self) -> SimDuration {
+        SimDuration::from_micros(self.width_us)
+    }
+
+    /// Method count.
+    pub fn methods(&self) -> usize {
+        self.hist.len()
     }
 
     /// The per-method loss-rate histogram (Figure 3's raw material).
@@ -212,31 +267,25 @@ impl WindowAccum {
     }
 }
 
-// Versioned wire format (v1). The open windows cross the wire too —
-// full fidelity, not just the closed statistics — even though slice
-// results arrive finished (slices close every window at their boundary):
-// a round-tripped accumulator must be indistinguishable from the
-// original in *every* state, or the serde-fidelity proptests could not
-// pin the wire format to the in-memory merge semantics.
+// Versioned wire format (v2): the probed pair set (`mesh`: `null` for
+// the clique) and only the cells that hold an open window, as ascending
+// `[cell, window_idx, sent, lost]` rows — so a finished accumulator,
+// which is what every slice result is, carries no cells at all. The
+// open windows still cross with full fidelity: a round-tripped
+// accumulator must be indistinguishable from the original in *every*
+// state, or the serde-fidelity proptests could not pin the wire format
+// to the in-memory merge semantics.
 impl serde::Serialize for WindowAccum {
     fn to_value(&self) -> serde::Value {
-        // The in-memory layout is SoA; the wire still speaks the v1
-        // `Vec<OpenWin>` shape, reconstructed cell by cell.
-        let open: Vec<OpenWin> = (0..self.win.len())
-            .map(|i| match self.win[i] {
-                0 => OpenWin::default(),
-                tag => OpenWin {
-                    window_idx: tag - 1,
-                    sent: self.sent[i],
-                    lost: self.lost[i],
-                    used: true,
-                },
-            })
+        let open: Vec<(usize, u64, u32, u32)> = (0..self.win.len())
+            .filter(|&i| self.win[i] != 0)
+            .map(|i| (i, self.win[i] - 1, self.sent[i], self.lost[i]))
             .collect();
         serde::Value::Map(vec![
-            ("v".into(), serde::Value::Int(1)),
+            ("v".into(), serde::Value::Int(2)),
             ("width_us".into(), self.width_us.to_value()),
-            ("n".into(), self.n.to_value()),
+            ("n".into(), self.pairs.n().to_value()),
+            ("mesh".into(), self.pairs.to_value()),
             ("open".into(), open.to_value()),
             ("hist".into(), self.hist.to_value()),
             ("thresholds".into(), self.thresholds.to_value()),
@@ -247,70 +296,87 @@ impl serde::Serialize for WindowAccum {
 
 impl serde::Deserialize for WindowAccum {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let err = |msg: String| serde::Error::new(format!("WindowAccum: {msg}"));
         let serde::Value::Map(entries) = v else {
-            return Err(serde::Error::new(format!(
-                "WindowAccum: expected map, found {}",
-                v.kind()
-            )));
+            return Err(err(format!("expected map, found {}", v.kind())));
         };
         for (k, _) in entries {
             if !matches!(
                 k.as_str(),
-                "v" | "width_us" | "n" | "open" | "hist" | "thresholds" | "windows"
+                "v" | "width_us" | "n" | "mesh" | "open" | "hist" | "thresholds" | "windows"
             ) {
-                return Err(serde::Error::new(format!("WindowAccum: unknown field `{k}`")));
+                return Err(err(format!("unknown field `{k}`")));
             }
         }
         let version = u32::from_value(v.field("v")?)?;
-        if version != 1 {
-            return Err(serde::Error::new(format!(
-                "WindowAccum: unsupported wire version {version} (this build speaks 1)"
+        if version != 2 {
+            return Err(err(format!("unsupported wire version {version} (this build speaks 2)")));
+        }
+        let width_us = u64::from_value(v.field("width_us")?)?;
+        if width_us == 0 {
+            return Err(err("width_us must be > 0".into()));
+        }
+        let n = usize::from_value(v.field("n")?)?;
+        let pairs = PairIndex::from_value(n, v.field("mesh")?)?;
+        let hist = Vec::<Histogram>::from_value(v.field("hist")?)?;
+        let thresholds = Vec::<[u64; 10]>::from_value(v.field("thresholds")?)?;
+        let windows = Vec::<u64>::from_value(v.field("windows")?)?;
+        let methods = hist.len();
+        if let Some(h) = hist.iter().find(|h| h.bin_count() != HISTOGRAM_BINS) {
+            return Err(err(format!(
+                "histogram has {} bins (want {HISTOGRAM_BINS})",
+                h.bin_count()
             )));
         }
-        let open = Vec::<OpenWin>::from_value(v.field("open")?)?;
-        // Decompose the wire's AoS cells into the SoA arrays. A cell
-        // with `used == false` is normalized to all-zero: the encoder
-        // only ever writes default values there, so nothing real is
-        // dropped.
-        let mut win = vec![0u64; open.len()];
-        let mut sent = vec![0u32; open.len()];
-        let mut lost = vec![0u32; open.len()];
-        for (i, o) in open.iter().enumerate() {
-            if o.used {
-                win[i] = o.window_idx + 1;
-                sent[i] = o.sent;
-                lost[i] = o.lost;
-            }
+        if thresholds.len() != methods || windows.len() != methods {
+            return Err(err(format!(
+                "per-method lengths disagree (hist {methods}, thresholds {}, windows {})",
+                thresholds.len(),
+                windows.len()
+            )));
         }
-        let w = WindowAccum {
-            width_us: u64::from_value(v.field("width_us")?)?,
+        let cells = pairs
+            .len()
+            .checked_mul(methods)
+            .ok_or_else(|| err(format!("{methods} methods overflow the cell count")))?;
+        let open = Vec::<(usize, u64, u32, u32)>::from_value(v.field("open")?)?;
+        let mut w = WindowAccum {
+            width_us,
             cached_start_us: 0,
             cached_idx: 0,
-            n: usize::from_value(v.field("n")?)?,
-            win,
-            sent,
-            lost,
-            hist: Vec::<Histogram>::from_value(v.field("hist")?)?,
-            thresholds: Vec::<[u64; 10]>::from_value(v.field("thresholds")?)?,
-            windows: Vec::<u64>::from_value(v.field("windows")?)?,
+            pairs: Arc::new(pairs),
+            win: Vec::new(),
+            sent: Vec::new(),
+            lost: Vec::new(),
+            hist,
+            thresholds,
+            windows,
         };
-        if w.width_us == 0 {
-            return Err(serde::Error::new("WindowAccum: width_us must be > 0"));
+        // Cells are allocated only for an accumulator with open windows;
+        // a finished one (every slice result) decodes without them.
+        if !open.is_empty() {
+            w.open_cells();
         }
-        let methods = w.hist.len();
-        if w.thresholds.len() != methods || w.windows.len() != methods {
-            return Err(serde::Error::new(format!(
-                "WindowAccum: per-method lengths disagree (hist {methods}, thresholds {}, windows {})",
-                w.thresholds.len(),
-                w.windows.len()
-            )));
-        }
-        if w.win.len() != w.n * w.n * methods {
-            return Err(serde::Error::new(format!(
-                "WindowAccum: {} open cells for shape n={} methods={methods}",
-                w.win.len(),
-                w.n
-            )));
+        let mut prev = None;
+        for &(cell, window_idx, s, l) in &open {
+            if cell >= cells {
+                return Err(err(format!(
+                    "open cell {cell} outside {} pairs x {methods} methods",
+                    w.pairs.len()
+                )));
+            }
+            if prev.is_some_and(|p| p >= cell) {
+                return Err(err(format!("open cells not strictly ascending at {cell}")));
+            }
+            if s == 0 || l > s || window_idx == u64::MAX {
+                return Err(err(format!(
+                    "open cell {cell}: window {window_idx} with {l} lost of {s} sent"
+                )));
+            }
+            prev = Some(cell);
+            w.win[cell] = window_idx + 1;
+            w.sent[cell] = s;
+            w.lost[cell] = l;
         }
         Ok(w)
     }
@@ -423,6 +489,33 @@ mod tests {
         whole.digest(&mut fa);
         a.digest(&mut fb);
         assert_eq!(fa.finish(), fb.finish());
+    }
+
+    #[test]
+    fn max_finished_encoded_len_bounds_the_widest_encoding() {
+        use serde::{Deserialize, Serialize};
+        // The widest histogram whose counts still add up: 20-digit
+        // `zeros` and `count`, 19-digit bins.
+        let bins = vec![u64::MAX / (2 * HISTOGRAM_BINS as u64); HISTOGRAM_BINS];
+        let zeros = u64::MAX - bins.iter().sum::<u64>();
+        let wide = serde::Value::Map(vec![
+            ("v".into(), serde::Value::Int(1)),
+            ("zeros".into(), zeros.to_value()),
+            ("bins".into(), bins.to_value()),
+            ("count".into(), u64::MAX.to_value()),
+        ]);
+        let hist = Histogram::from_value(&wide).expect("counts add up");
+        let mesh = PairIndex::from_neighbor_lists(4, &[vec![1, 3], vec![0, 2], vec![3], vec![0]]);
+        for pairs in [mesh, PairIndex::clique(3)] {
+            let mut w = WindowAccum::with_pairs(Arc::new(pairs.clone()), 3, SimDuration::MAX);
+            w.width_us = u64::MAX;
+            w.hist = vec![hist.clone(); 3];
+            w.thresholds = vec![[u64::MAX; 10]; 3];
+            w.windows = vec![u64::MAX; 3];
+            let len = serde_json::to_string(&w).unwrap().len();
+            let bound = WindowAccum::max_finished_encoded_len(&pairs, 3);
+            assert!(len <= bound, "{} pairs: {len} > {bound}", pairs.len());
+        }
     }
 
     #[test]

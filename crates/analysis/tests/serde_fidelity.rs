@@ -1,6 +1,8 @@
-//! Serde-fidelity property tests: an accumulator that crossed the wire
-//! must be indistinguishable — to the bit — from one that never left
-//! the process.
+//! Serde-fidelity and layout-equivalence property tests: an accumulator
+//! that crossed the wire must be indistinguishable — to the bit — from
+//! one that never left the process, and an accumulator keyed by a probe
+//! mesh must be indistinguishable from the dense `n × n` grid it
+//! replaced.
 //!
 //! This is the invariant the distributed campaign runner leans on: a
 //! worker streams random outcomes into a private accumulator, ships it
@@ -10,16 +12,21 @@
 //! diverges from the never-serialized path long before a campaign
 //! fingerprint would.
 //!
-//! Every property runs the same shape: random outcomes → accumulate →
+//! Every property runs on a random probe mesh (sometimes the full
+//! clique) with outcomes on its pairs: random outcomes → accumulate →
 //! JSON round-trip → merge into a sibling → [`Fnv`] digest equals the
 //! digest of merging the originals directly. Outcomes include 3- and
 //! 4-leg probes so the `max_legs > 2` best-of-first-j extension (the
 //! k-leg depth guard) crosses the wire too, not just the paper's pairs.
+//! The `aos` module keeps the dense array-of-structs accumulators as
+//! reference models: the mesh-indexed layout must match their digests,
+//! summaries, per-path series and merges exactly.
 
 use analysis::loss::Cell;
-use analysis::{Fnv, Histogram, LossAccum, WindowAccum};
+use analysis::{Fnv, Histogram, LossAccum, PairIndex, WindowAccum};
 use netsim::{HostId, NetCounters, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::sync::Arc;
 use trace::record::MAX_PROBE_LEGS;
 use trace::{CollectorStats, LegOutcome, PairOutcome};
 
@@ -64,6 +71,55 @@ fn arb_outcome() -> impl Strategy<Value = PairOutcome> {
         })
 }
 
+/// A random probe mesh over [`HOSTS`] hosts: `None` is the clique, else
+/// each source probes a random non-empty subset of the other hosts.
+fn arb_mesh() -> impl Strategy<Value = Option<Vec<Vec<u16>>>> {
+    (any::<bool>(), proptest::collection::vec(any::<u8>(), HOSTS as usize..HOSTS as usize + 1))
+        .prop_map(|(clique, masks)| {
+            if clique {
+                return None;
+            }
+            let rows = masks
+                .iter()
+                .enumerate()
+                .map(|(s, mask)| {
+                    let s = s as u16;
+                    let row: Vec<u16> =
+                        (0..HOSTS).filter(|&d| d != s && mask & (1 << d) != 0).collect();
+                    if row.is_empty() {
+                        vec![(s + 1) % HOSTS]
+                    } else {
+                        row
+                    }
+                })
+                .collect();
+            Some(rows)
+        })
+}
+
+/// The pair index of a generated mesh.
+fn index(mesh: &Option<Vec<Vec<u16>>>) -> Arc<PairIndex> {
+    Arc::new(match mesh {
+        None => PairIndex::clique(HOSTS as usize),
+        Some(rows) => PairIndex::from_neighbor_lists(HOSTS as usize, rows),
+    })
+}
+
+/// Moves every outcome onto a pair the mesh probes (the clique keeps
+/// them all), as the experiment's destination draw does.
+fn on_mesh(mesh: &Option<Vec<Vec<u16>>>, outs: &[PairOutcome]) -> Vec<PairOutcome> {
+    outs.iter()
+        .map(|o| {
+            let mut o = *o;
+            if let Some(rows) = mesh {
+                let row = &rows[o.src.idx()];
+                o.dst = HostId(row[o.dst.idx() % row.len()]);
+            }
+            o
+        })
+        .collect()
+}
+
 fn digest(write: impl FnOnce(&mut Fnv)) -> u64 {
     let mut fnv = Fnv::new();
     write(&mut fnv);
@@ -75,18 +131,26 @@ fn round_trip<T: serde::Serialize + serde::Deserialize>(v: &T) -> T {
     serde_json::from_str(&json).expect("own JSON must parse")
 }
 
+/// Asserts that `x` re-encodes to the same bytes after a round trip.
+fn assert_byte_stable<T: serde::Serialize + serde::Deserialize>(x: &T) {
+    let json = serde_json::to_string(x).unwrap();
+    assert_eq!(serde_json::to_string(&round_trip(x)).unwrap(), json, "wire bytes moved");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn loss_accum_merges_identically_after_the_wire(
         depth in 2usize..=MAX_PROBE_LEGS,
+        mesh in arb_mesh(),
         a in proptest::collection::vec(arb_outcome(), 0..80),
         b in proptest::collection::vec(arb_outcome(), 0..80),
     ) {
+        let pairs = index(&mesh);
         let feed = |outs: &[PairOutcome]| {
-            let mut acc = LossAccum::with_depth(HOSTS as usize, METHODS as usize, depth);
-            for o in outs {
+            let mut acc = LossAccum::with_pairs(pairs.clone(), METHODS as usize, depth);
+            for o in &on_mesh(&mesh, outs) {
                 acc.on_outcome(o);
             }
             acc
@@ -117,13 +181,18 @@ proptest! {
 
     #[test]
     fn window_accum_round_trips_open_windows_exactly(
+        mesh in arb_mesh(),
         a in proptest::collection::vec(arb_outcome(), 0..80),
         b in proptest::collection::vec(arb_outcome(), 0..80),
     ) {
+        let pairs = index(&mesh);
         let feed = |outs: &[PairOutcome]| {
-            let mut acc =
-                WindowAccum::new(HOSTS as usize, METHODS as usize, SimDuration::from_mins(20));
-            for o in outs {
+            let mut acc = WindowAccum::with_pairs(
+                pairs.clone(),
+                METHODS as usize,
+                SimDuration::from_mins(20),
+            );
+            for o in &on_mesh(&mesh, outs) {
                 acc.on_outcome(o);
             }
             acc
@@ -191,12 +260,15 @@ proptest! {
 
     #[test]
     fn window_accum_soa_matches_the_aos_reference(
+        mesh in arb_mesh(),
         a in proptest::collection::vec(arb_outcome(), 0..80),
         b in proptest::collection::vec(arb_outcome(), 0..80),
     ) {
         let width = SimDuration::from_mins(20);
+        let pairs = index(&mesh);
+        let (a, b) = (on_mesh(&mesh, &a), on_mesh(&mesh, &b));
         let feed_soa = |outs: &[PairOutcome]| {
-            let mut acc = WindowAccum::new(HOSTS as usize, METHODS as usize, width);
+            let mut acc = WindowAccum::with_pairs(pairs.clone(), METHODS as usize, width);
             for o in outs {
                 acc.on_outcome(o);
             }
@@ -209,37 +281,42 @@ proptest! {
             }
             acc
         };
-        // Mid-stream, open windows and all: the SoA layout must emit
-        // byte-identical wire JSON to the array-of-structs original.
+        // Mid-stream, open windows and all: the mesh-indexed SoA layout
+        // must re-encode byte-identically after a round trip ...
         let (mut soa, mut aos) = (feed_soa(&a), feed_aos(&a));
-        prop_assert_eq!(
-            serde_json::to_string(&soa).unwrap(),
-            serde_json::to_string(&aos).unwrap(),
-            "open-window wire bytes diverged from the AoS layout"
-        );
-        // ... and the close/merge semantics must match too.
+        assert_byte_stable(&soa);
+        // ... and close and merge exactly like the dense AoS original.
         soa.finish();
         aos.finish();
+        assert_byte_stable(&soa);
         let (mut soa_b, mut aos_b) = (feed_soa(&b), feed_aos(&b));
         soa_b.finish();
         aos_b.finish();
         soa.merge(&soa_b);
         aos.merge(&aos_b);
-        prop_assert_eq!(
-            serde_json::to_string(&soa).unwrap(),
-            serde_json::to_string(&aos).unwrap()
-        );
         prop_assert_eq!(digest(|f| soa.digest(f)), digest(|f| aos.digest(f)));
+        for m in 0..METHODS {
+            prop_assert_eq!(soa.threshold_counts(m), aos.thresholds[m as usize]);
+            prop_assert_eq!(soa.window_count(m), aos.windows[m as usize]);
+            prop_assert_eq!(
+                digest(|f| soa.histogram(m).digest(f)),
+                digest(|f| aos.hist[m as usize].digest(f))
+            );
+        }
+        assert_byte_stable(&soa);
     }
 
     #[test]
     fn loss_accum_soa_matches_the_aos_reference(
         depth in 2usize..=MAX_PROBE_LEGS,
+        mesh in arb_mesh(),
         a in proptest::collection::vec(arb_outcome(), 0..80),
         b in proptest::collection::vec(arb_outcome(), 0..80),
     ) {
+        let pairs = index(&mesh);
+        let (a, b) = (on_mesh(&mesh, &a), on_mesh(&mesh, &b));
         let feed_soa = |outs: &[PairOutcome]| {
-            let mut acc = LossAccum::with_depth(HOSTS as usize, METHODS as usize, depth);
+            let mut acc = LossAccum::with_pairs(pairs.clone(), METHODS as usize, depth);
             for o in outs {
                 acc.on_outcome(o);
             }
@@ -254,23 +331,29 @@ proptest! {
         };
         let (mut soa, mut aos) = (feed_soa(&a), feed_aos(&a));
         prop_assert_eq!(
-            serde_json::to_string(&soa).unwrap(),
-            serde_json::to_string(&aos).unwrap(),
-            "cell wire bytes diverged from the AoS layout at depth {}", depth
+            digest(|f| soa.digest(f)),
+            digest(|f| aos.digest(f)),
+            "depth {} digest diverged from the dense reference", depth
         );
+        assert_byte_stable(&soa);
         soa.merge(&feed_soa(&b));
         aos.merge(&feed_aos(&b));
         prop_assert_eq!(
-            serde_json::to_string(&soa).unwrap(),
-            serde_json::to_string(&aos).unwrap()
-        );
-        prop_assert_eq!(
             digest(|f| soa.digest(f)),
             digest(|f| aos.digest(f)),
-            "depth {} merge digest diverged from the AoS reference", depth
+            "depth {} merge digest diverged from the dense reference", depth
         );
+        assert_byte_stable(&soa);
+        // Every reader of the accumulator must see the dense grid.
+        for m in 0..METHODS {
+            prop_assert_eq!(soa.summary(m), aos.summary(m));
+            prop_assert_eq!(soa.best_of_first_pct(m), aos.best_of_first_pct(m));
+            prop_assert_eq!(soa.per_path_loss(m), aos.per_path_loss(m));
+            prop_assert_eq!(soa.per_path_clp(m, 1), aos.per_path_clp(m, 1));
+            prop_assert_eq!(soa.per_path_latency_ms(m), aos.per_path_latency_ms(m));
+        }
         // Spot the accessor too: every cell the public API exposes must
-        // carry the AoS counters bit-for-bit.
+        // carry the AoS counters bit-for-bit (unprobed pairs read zero).
         for m in 0..METHODS {
             for s in 0..HOSTS {
                 for d in 0..HOSTS {
@@ -308,17 +391,119 @@ proptest! {
     }
 }
 
-/// The pre-SoA array-of-structs accumulators, kept verbatim as
-/// reference models: the production code now stores parallel arrays for
-/// cache density, and these originals pin both the wire bytes (the v1
-/// serde shape *is* the AoS layout) and the merge/digest semantics the
-/// rewrite must preserve.
+/// A finished 240-host k=6 slice — loss plus both window accumulators,
+/// every probed pair touched — encodes to O(n·k) bytes. The dense
+/// n²-cell encoding of the same slice was 111 MB.
+#[test]
+fn finished_sparse_240_accumulators_encode_in_o_n_k_bytes() {
+    const N: usize = 240;
+    const M: usize = 8;
+    let mesh = netsim::sparse_mesh(N, 6, 1);
+    let pairs = Arc::new(PairIndex::from_neighbor_lists(N, &mesh));
+    assert_eq!(pairs.len(), N * 6);
+    let mut loss = LossAccum::with_pairs(pairs.clone(), M, 2);
+    let mut win20 = WindowAccum::with_pairs(pairs.clone(), M, SimDuration::from_mins(20));
+    let mut win60 = WindowAccum::with_pairs(pairs.clone(), M, SimDuration::from_hours(1));
+    let mut id = 0u64;
+    for (s, row) in mesh.iter().enumerate() {
+        for &d in row {
+            for m in 0..M as u8 {
+                id += 1;
+                let lost = id.is_multiple_of(7);
+                let one_way_us = if lost { None } else { Some(40_000) };
+                let leg = LegOutcome { route: 0, lost, one_way_us };
+                let o = PairOutcome::from_legs(
+                    id,
+                    m,
+                    HostId(s as u16),
+                    HostId(d),
+                    SimTime::from_micros(id * 1_000),
+                    [Some(leg), Some(leg), None, None],
+                    false,
+                );
+                loss.on_outcome(&o);
+                win20.on_outcome(&o);
+                win60.on_outcome(&o);
+            }
+        }
+    }
+    win20.finish();
+    win60.finish();
+    let bytes: usize = [
+        serde_json::to_string(&loss).unwrap(),
+        serde_json::to_string(&win20).unwrap(),
+        serde_json::to_string(&win60).unwrap(),
+    ]
+    .iter()
+    .map(String::len)
+    .sum();
+    assert!(bytes < 2_000_000, "finished 240-host k=6 set encodes to {bytes} bytes");
+    assert!(!serde_json::to_string(&win20).unwrap().contains("\"open\":[["), "no open cells");
+}
+
+/// Re-encodes `v` with the top-level field `key` replaced.
+fn with_field(v: &serde::Value, key: &str, new: serde::Value) -> String {
+    let serde::Value::Map(entries) = v else { panic!("accumulators encode as maps") };
+    let entries =
+        entries.iter().map(|(k, x)| (k.clone(), if k == key { new.clone() } else { x.clone() }));
+    serde_json::to_string(&serde::Value::Map(entries.collect())).unwrap()
+}
+
+#[test]
+fn decoding_rejects_malformed_pair_sets_and_cell_counts() {
+    use serde::Serialize;
+    let rows = vec![vec![1u16, 2], vec![0], vec![0, 1]];
+    let pairs = Arc::new(PairIndex::from_neighbor_lists(3, &rows));
+    let loss = LossAccum::with_pairs(pairs.clone(), 2, 2).to_value();
+    let mut win = WindowAccum::with_pairs(pairs, 2, SimDuration::from_mins(20));
+    win.finish();
+    let win = win.to_value();
+    let bad_meshes: [(Vec<Vec<u16>>, &str); 4] = [
+        (vec![vec![2, 1], vec![0], vec![0, 1]], "not strictly ascending"),
+        (vec![vec![1, 1], vec![0], vec![0, 1]], "not strictly ascending"),
+        (vec![vec![1, 9], vec![0], vec![0, 1]], "outside 0..3"),
+        (vec![vec![1, 2], vec![0]], "2 source rows"),
+    ];
+    for (mesh, want) in &bad_meshes {
+        for (name, v) in [("loss", &loss), ("win", &win)] {
+            let json = with_field(v, "mesh", mesh.to_value());
+            let err = if name == "loss" {
+                serde_json::from_str::<LossAccum>(&json).map(|_| ()).unwrap_err()
+            } else {
+                serde_json::from_str::<WindowAccum>(&json).map(|_| ()).unwrap_err()
+            };
+            assert!(err.to_string().contains(want), "{name} {mesh:?}: {err}");
+        }
+    }
+    // The pair set says 5 pairs x 2 methods; the cells must agree.
+    let short = with_field(&loss, "mesh", vec![vec![1u16], vec![0], vec![0, 1]].to_value());
+    let err = serde_json::from_str::<LossAccum>(&short).map(|_| ()).unwrap_err();
+    assert!(err.to_string().contains("(want 8)"), "{err}");
+    let open = vec![(99usize, 0u64, 1u32, 0u32)].to_value();
+    let err = serde_json::from_str::<WindowAccum>(&with_field(&win, "open", open))
+        .map(|_| ())
+        .unwrap_err();
+    assert!(err.to_string().contains("outside 5 pairs x 2 methods"), "{err}");
+    let open = vec![(3usize, 0u64, 1u32, 0u32), (1, 0, 1, 0)].to_value();
+    let err = serde_json::from_str::<WindowAccum>(&with_field(&win, "open", open))
+        .map(|_| ())
+        .unwrap_err();
+    assert!(err.to_string().contains("not strictly ascending"), "{err}");
+}
+
+/// The pre-SoA, pre-mesh array-of-structs accumulators over the dense
+/// `n × n` grid, kept as reference models: the production code stores
+/// parallel arrays keyed by the probed pair set, and these originals pin
+/// the merge/digest semantics and the per-path readers the rewrite must
+/// preserve.
 mod aos {
     use super::{Cell, Fnv, Histogram};
+    use analysis::latency::corrected_path_means;
+    use analysis::MethodSummary;
     use netsim::{HostId, SimDuration};
     use trace::PairOutcome;
 
-    #[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+    #[derive(Debug, Clone, Copy, Default)]
     struct OpenWin {
         window_idx: u64,
         sent: u32,
@@ -330,9 +515,9 @@ mod aos {
         width_us: u64,
         n: usize,
         open: Vec<OpenWin>,
-        hist: Vec<Histogram>,
-        thresholds: Vec<[u64; 10]>,
-        windows: Vec<u64>,
+        pub hist: Vec<Histogram>,
+        pub thresholds: Vec<[u64; 10]>,
+        pub windows: Vec<u64>,
     }
 
     impl WindowAccum {
@@ -424,20 +609,6 @@ mod aos {
             for &w in &self.windows {
                 fnv.write_u64(w);
             }
-        }
-    }
-
-    impl serde::Serialize for WindowAccum {
-        fn to_value(&self) -> serde::Value {
-            serde::Value::Map(vec![
-                ("v".into(), serde::Value::Int(1)),
-                ("width_us".into(), self.width_us.to_value()),
-                ("n".into(), self.n.to_value()),
-                ("open".into(), self.open.to_value()),
-                ("hist".into(), self.hist.to_value()),
-                ("thresholds".into(), self.thresholds.to_value()),
-                ("windows".into(), self.windows.to_value()),
-            ])
         }
     }
 
@@ -550,16 +721,86 @@ mod aos {
         }
     }
 
-    impl serde::Serialize for LossAccum {
-        fn to_value(&self) -> serde::Value {
-            serde::Value::Map(vec![
-                ("v".into(), serde::Value::Int(1)),
-                ("n".into(), self.n.to_value()),
-                ("methods".into(), self.methods.to_value()),
-                ("max_legs".into(), self.max_legs.to_value()),
-                ("cells".into(), self.cells.to_value()),
-                ("deep".into(), self.deep.to_value()),
-            ])
+    impl LossAccum {
+        fn range(&self, method: u8) -> std::ops::Range<usize> {
+            let base = method as usize * self.n * self.n;
+            base..base + self.n * self.n
+        }
+
+        pub fn best_of_first_pct(&self, method: u8) -> Vec<f64> {
+            let cells = &self.cells[self.range(method)];
+            let pairs: u64 = cells.iter().map(|c| c.pairs).sum();
+            let pct = |num: u64| if pairs == 0 { 0.0 } else { 100.0 * num as f64 / pairs as f64 };
+            if self.deep.is_empty() {
+                let l1: u64 = cells.iter().map(|c| c.l1_lost).sum();
+                let all: u64 = cells.iter().map(|c| c.pairs_lost).sum();
+                return match self.max_legs {
+                    1 => vec![pct(all)],
+                    _ => vec![pct(l1), pct(all)],
+                };
+            }
+            (1..=self.max_legs)
+                .map(|j| {
+                    pct(self.range(method).map(|c| self.deep[c * self.max_legs + j - 1]).sum())
+                })
+                .collect()
+        }
+
+        pub fn summary(&self, method: u8) -> MethodSummary {
+            let cells = &self.cells[self.range(method)];
+            let sum = |f: fn(&Cell) -> u64| cells.iter().map(f).sum::<u64>();
+            let pct =
+                |num: u64, den: u64| if den == 0 { 0.0 } else { 100.0 * num as f64 / den as f64 };
+            let means = self.per_path_latency_ms(method);
+            let lat_ms = if means.is_empty() {
+                0.0
+            } else {
+                means.iter().map(|&(_, _, m)| m).sum::<f64>() / means.len() as f64
+            };
+            let (l2_sent, flws) = (sum(|c| c.l2_sent), sum(|c| c.first_lost_with_second));
+            MethodSummary {
+                lp1: pct(sum(|c| c.l1_lost), sum(|c| c.l1_sent)),
+                lp2: if l2_sent > 0 { Some(pct(sum(|c| c.l2_lost), l2_sent)) } else { None },
+                totlp: pct(sum(|c| c.pairs_lost), sum(|c| c.pairs)),
+                clp: if flws > 0 { Some(pct(sum(|c| c.both_lost), flws)) } else { None },
+                lat_ms,
+                pairs: sum(|c| c.pairs),
+            }
+        }
+
+        /// Every off-diagonal cell of the dense grid, row-major.
+        fn paths(&self, method: u8) -> impl Iterator<Item = (HostId, HostId, &Cell)> + '_ {
+            let n = self.n;
+            (0..n * n).filter(move |i| i / n != i % n).map(move |i| {
+                let c = &self.cells[self.range(method).start + i];
+                (HostId((i / n) as u16), HostId((i % n) as u16), c)
+            })
+        }
+
+        pub fn per_path_loss(&self, method: u8) -> Vec<(HostId, HostId, f64)> {
+            self.paths(method)
+                .filter(|(_, _, c)| c.pairs > 0)
+                .map(|(s, d, c)| (s, d, c.pairs_lost as f64 / c.pairs as f64))
+                .collect()
+        }
+
+        pub fn per_path_clp(&self, method: u8, min_first_losses: u64) -> Vec<f64> {
+            self.paths(method)
+                .filter(|(_, _, c)| c.first_lost_with_second >= min_first_losses.max(1))
+                .map(|(_, _, c)| 100.0 * c.both_lost as f64 / c.first_lost_with_second as f64)
+                .collect()
+        }
+
+        pub fn per_path_latency_ms(&self, method: u8) -> Vec<(HostId, HostId, f64)> {
+            let raw: Vec<(u16, u16, f64)> = self
+                .paths(method)
+                .filter(|(_, _, c)| c.lat_cnt > 0)
+                .map(|(s, d, c)| (s.0, d.0, c.lat_sum_us / c.lat_cnt as f64))
+                .collect();
+            corrected_path_means(&raw)
+                .into_iter()
+                .map(|(s, d, us)| (HostId(s), HostId(d), us / 1_000.0))
+                .collect()
         }
     }
 }

@@ -1011,7 +1011,11 @@ fn main() {
                 eprintln!(
                     "[repro] worker done: {} slice(s) simulated{}",
                     r.slices_run,
-                    if r.coordinator_closed { " (coordinator closed; campaign finished)" } else { "" }
+                    if r.coordinator_closed {
+                        " (coordinator closed with nothing of this worker's outstanding)"
+                    } else {
+                        ""
+                    }
                 );
             }
             Err(e) => {

@@ -61,12 +61,31 @@
 //! ([`ServeReport::duplicates`]). Re-leasing therefore never risks the
 //! merge: the result buffer is slice-indexed and idempotent.
 //!
-//! Workers treat a vanished coordinator *after* handshake as "campaign
-//! finished without me" and exit cleanly
-//! ([`WorkerReport::coordinator_closed`]): the coordinator only exits
-//! once every slice has resolved, so there is nothing left to do.
+//! A result the coordinator refuses — above the job's frame cap,
+//! undecodable, or mismatched with the campaign — costs the sender its
+//! connection (after a [`Msg::Deny`] naming the reason), and the slice
+//! is re-leased. A slice refused [`MAX_RESULT_REFUSALS`] times fails the
+//! campaign with an error naming it, instead of re-leasing forever.
+//!
+//! Once every slice has resolved, the coordinator exits as soon as every
+//! worker with an unacknowledged result has collected its `Done` — and
+//! at most one lease timeout after completion; other connections are
+//! simply closed. A worker whose coordinator hangs up without `Done`
+//! exits cleanly only when it had nothing outstanding
+//! ([`WorkerReport::coordinator_closed`]); with a lease or an
+//! unacknowledged result in flight (say, a re-leased duplicate still
+//! computing when the campaign completed), the hang-up is an error.
+//!
+//! # Frame caps
+//!
+//! No length prefix is trusted beyond what the reader's protocol state
+//! allows: frames before the handshake completes, and every grant a
+//! worker reads, are capped at [`CONTROL_FRAME_CAP`]; a worker's frames
+//! after the handshake at the job's worst-case encoded result
+//! ([`CampaignJob::result_frame_cap`]), which the worker also checks
+//! before it sends.
 
-use crate::experiment::{ExperimentConfig, ExperimentOutput, OUTPUT_WIRE_VERSION};
+use crate::experiment::{ExperimentConfig, ExperimentOutput, OutputShape, OUTPUT_WIRE_VERSION};
 use crate::report;
 use crate::scenario::ScenarioSpec;
 use crate::shard::SlicePlan;
@@ -82,9 +101,22 @@ use tokio::sync::{mpsc, Notify};
 /// Version of the message grammar; bumped on any incompatible change.
 pub const PROTO_VERSION: u32 = 1;
 
-/// Ceiling on a single frame body. A length prefix beyond this is
-/// treated as a corrupt stream, not an allocation request.
-const MAX_FRAME: usize = 64 << 20;
+/// Cap on control frames: every frame read before the handshake
+/// completes (`Hello`, `Job`, `Deny`) and every grant a worker reads. A
+/// peer that has not yet shown it speaks the protocol can make the
+/// reader allocate at most this much.
+pub const CONTROL_FRAME_CAP: usize = 256 << 10;
+
+/// Cap on a frame read by [`read_msg_blocking`], the context-free reader
+/// for tools and tests. Live campaigns never use it: their caps come
+/// from the protocol state and the job ([`CONTROL_FRAME_CAP`],
+/// [`CampaignJob::result_frame_cap`]).
+pub const TOOL_FRAME_CAP: usize = 64 << 20;
+
+/// Refusals of one slice's result (over the frame cap, undecodable, or
+/// mismatched with the campaign) after which [`serve_campaign`] fails
+/// the campaign instead of re-leasing the slice again.
+pub const MAX_RESULT_REFUSALS: u32 = 3;
 
 /// Everything a worker needs to rebuild the campaign bit-for-bit.
 ///
@@ -162,6 +194,21 @@ impl CampaignJob {
     /// The slice plan every participant derives identically.
     pub fn plan(&self) -> SlicePlan {
         SlicePlan::new(&self.config())
+    }
+
+    /// The shape every slice output of this job has.
+    pub(crate) fn output_shape(&self) -> OutputShape {
+        let mesh = self.spec.topology.probe_mesh(self.seed);
+        OutputShape::of(self.spec.topology.hosts(), mesh.as_deref(), &self.config())
+    }
+
+    /// The largest result frame body an honest worker can send for this
+    /// job: the worst-case encoding of a finished output of its shape —
+    /// every number at its widest rendering, O(probed pairs × methods) —
+    /// never below [`CONTROL_FRAME_CAP`]. Worker and coordinator both
+    /// enforce it.
+    pub fn result_frame_cap(&self) -> usize {
+        self.output_shape().max_encoded_len().max(CONTROL_FRAME_CAP)
     }
 
     /// Simulates slice `k` of the plan — exactly what the in-process
@@ -273,10 +320,10 @@ fn decode_body(body: &[u8]) -> io::Result<Msg> {
     serde_json::from_str(text).map_err(|e| proto_err(format!("bad frame: {e}")))
 }
 
-fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
+fn frame_len(prefix: [u8; 4], cap: usize) -> io::Result<usize> {
     let len = u32::from_be_bytes(prefix) as usize;
-    if len > MAX_FRAME {
-        return Err(proto_err(format!("frame length {len} exceeds cap {MAX_FRAME}")));
+    if len > cap {
+        return Err(proto_err(format!("frame length {len} exceeds cap {cap}")));
     }
     Ok(len)
 }
@@ -286,9 +333,10 @@ pub async fn send_msg(stream: &mut TcpStream, msg: &Msg) -> io::Result<()> {
     stream.write_all(&encode_msg(msg)).await
 }
 
-/// Receives one frame from an async stream. `Ok(None)` is a clean
-/// close — EOF *between* frames; EOF inside a frame is an error.
-pub async fn recv_msg(stream: &mut TcpStream) -> io::Result<Option<Msg>> {
+/// Receives one frame of at most `cap` body bytes from an async stream.
+/// `Ok(None)` is a clean close — EOF *between* frames; EOF inside a
+/// frame is an error.
+pub async fn recv_msg(stream: &mut TcpStream, cap: usize) -> io::Result<Option<Msg>> {
     let mut prefix = [0u8; 4];
     let n = stream.read(&mut prefix).await?;
     if n == 0 {
@@ -297,7 +345,7 @@ pub async fn recv_msg(stream: &mut TcpStream) -> io::Result<Option<Msg>> {
     if n < 4 {
         stream.read_exact(&mut prefix[n..]).await?;
     }
-    let len = frame_len(prefix)?;
+    let len = frame_len(prefix, cap)?;
     let mut body = vec![0u8; len];
     stream.read_exact(&mut body).await?;
     decode_body(&body).map(Some)
@@ -309,8 +357,14 @@ pub fn write_msg_blocking<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
     w.write_all(&encode_msg(msg))
 }
 
-/// Blocking [`recv_msg`]; same clean-close contract.
+/// Blocking [`recv_msg`] capped at [`TOOL_FRAME_CAP`]; same clean-close
+/// contract.
 pub fn read_msg_blocking<R: Read>(r: &mut R) -> io::Result<Option<Msg>> {
+    read_msg_capped(r, TOOL_FRAME_CAP)
+}
+
+/// Blocking [`recv_msg`]: one frame of at most `cap` body bytes.
+fn read_msg_capped<R: Read>(r: &mut R, cap: usize) -> io::Result<Option<Msg>> {
     let mut prefix = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
@@ -323,7 +377,7 @@ pub fn read_msg_blocking<R: Read>(r: &mut R) -> io::Result<Option<Msg>> {
         }
         filled += n;
     }
-    let len = frame_len(prefix)?;
+    let len = frame_len(prefix, cap)?;
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     decode_body(&body).map(Some)
@@ -333,7 +387,9 @@ pub fn read_msg_blocking<R: Read>(r: &mut R) -> io::Result<Option<Msg>> {
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// A lease not refreshed (by heartbeat or result) within this span
-    /// is considered abandoned and re-issued on the next `Ready`.
+    /// is considered abandoned and re-issued on the next `Ready`. Also
+    /// the longest a completed campaign waits for workers to collect
+    /// their `Done`.
     pub lease_timeout: Duration,
     /// Ceiling on the back-off hint sent with [`Msg::Wait`].
     pub poll_ms: u64,
@@ -391,9 +447,9 @@ impl Default for WorkerOptions {
 pub struct WorkerReport {
     /// Slices this worker simulated and delivered.
     pub slices_run: u64,
-    /// True when the exit was the coordinator vanishing after handshake
-    /// (campaign finished elsewhere) rather than an explicit
-    /// [`Msg::Done`].
+    /// True when the exit was the coordinator hanging up after handshake
+    /// with nothing of this worker's outstanding (no lease held, every
+    /// result acknowledged) rather than an explicit [`Msg::Done`].
     pub coordinator_closed: bool,
 }
 
@@ -418,6 +474,14 @@ struct CoordState {
     buffered: BTreeMap<usize, ExperimentOutput>,
     peak_buffered: usize,
     pending: usize,
+    /// Per slice: results refused so far (see [`MAX_RESULT_REFUSALS`]).
+    refusals: Vec<u32>,
+    /// Why the campaign failed, once a slice ran out of refusals.
+    failure: Option<String>,
+    /// Connections that sent a `Result` not yet answered by a grant: each
+    /// owes its worker one (the `Done`, once the campaign is complete)
+    /// to acknowledge it.
+    owed: usize,
     connections: u64,
     releases: u64,
     duplicates: u64,
@@ -426,6 +490,10 @@ struct CoordState {
 struct Coord {
     job: CampaignJob,
     expected_digest: u64,
+    /// What every slice result must look like.
+    shape: OutputShape,
+    /// Body cap on the frames a worker sends after the handshake.
+    result_cap: usize,
     opts: ServeOptions,
     state: Mutex<CoordState>,
     done: Notify,
@@ -434,9 +502,13 @@ struct Coord {
 impl Coord {
     fn new(job: CampaignJob, slices: usize, opts: ServeOptions) -> Coord {
         let expected_digest = job.spec.digest();
+        let shape = job.output_shape();
+        let result_cap = shape.max_encoded_len().max(CONTROL_FRAME_CAP);
         Coord {
             job,
             expected_digest,
+            shape,
+            result_cap,
             opts,
             state: Mutex::new(CoordState {
                 slices: (0..slices).map(|_| SliceState::Unleased).collect(),
@@ -446,6 +518,9 @@ impl Coord {
                 buffered: BTreeMap::new(),
                 peak_buffered: 0,
                 pending: slices,
+                refusals: vec![0; slices],
+                failure: None,
+                owed: 0,
                 connections: 0,
                 releases: 0,
                 duplicates: 0,
@@ -458,6 +533,56 @@ impl Coord {
         let mut st = self.state.lock().unwrap();
         st.connections += 1;
         st.connections
+    }
+
+    /// Moves a connection's "owes an acknowledgement" flag to `owes`,
+    /// keeping [`CoordState::owed`] in step.
+    fn set_owed(&self, flag: &mut bool, owes: bool) {
+        if *flag == owes {
+            return;
+        }
+        *flag = owes;
+        let mut st = self.state.lock().unwrap();
+        if owes {
+            st.owed += 1;
+        } else {
+            st.owed -= 1;
+            self.done.notify_waiters();
+        }
+    }
+
+    /// The slices `conn` currently holds leases on.
+    fn leased_by(&self, conn: u64) -> Vec<usize> {
+        let st = self.state.lock().unwrap();
+        (0..st.slices.len())
+            .filter(|&k| {
+                matches!(st.slices[k], SliceState::Leased { holder, .. } if holder == conn)
+            })
+            .collect()
+    }
+
+    /// Counts one refused result against each of `slices` that is still
+    /// unresolved; the first to reach [`MAX_RESULT_REFUSALS`] fails the
+    /// campaign.
+    fn refuse(&self, slices: &[usize], reason: &str) {
+        let mut st = self.state.lock().unwrap();
+        for &k in slices {
+            if !matches!(st.slices.get(k), Some(SliceState::Unleased | SliceState::Leased { .. })) {
+                continue;
+            }
+            st.refusals[k] += 1;
+            if st.refusals[k] >= MAX_RESULT_REFUSALS && st.failure.is_none() {
+                st.failure = Some(format!(
+                    "slice {k}'s result was refused {} times (last: {reason})",
+                    st.refusals[k]
+                ));
+                self.done.notify_waiters();
+            }
+        }
+    }
+
+    fn failure(&self) -> Option<String> {
+        self.state.lock().unwrap().failure.clone()
     }
 
     /// Answers a `Ready`: first unleased slice, else the most-overdue
@@ -524,6 +649,10 @@ impl Coord {
                 output.spec_digest, self.expected_digest
             )));
         }
+        // The merge asserts on shape; refuse a misfit before it gets there.
+        self.shape.check(&output).map_err(|e| {
+            proto_err(format!("result for slice {slice} does not fit the campaign: {e}"))
+        })?;
         let mut st = self.state.lock().unwrap();
         let Some(&slot) = st.fingerprints.get(slice) else {
             return Err(proto_err(format!("result for slice {slice} outside the plan")));
@@ -584,35 +713,60 @@ impl Coord {
     }
 }
 
-async fn drive_conn(stream: &mut TcpStream, coord: &Coord, conn: u64) -> io::Result<()> {
-    let hello = recv_msg(stream).await?;
+/// Speaks the coordinator's side of one connection. `owes` tracks
+/// whether the worker is owed an acknowledgement of a result it sent
+/// (see [`CoordState::owed`]).
+async fn drive_conn(
+    stream: &mut TcpStream,
+    coord: &Coord,
+    conn: u64,
+    owes: &mut bool,
+) -> io::Result<()> {
+    let hello = recv_msg(stream, CONTROL_FRAME_CAP).await?;
     let (proto, output_wire) = match hello {
         Some(Msg::Hello { proto, output_wire }) => (proto, output_wire),
         Some(other) => return Err(proto_err(format!("expected Hello, got {}", other.kind()))),
         None => return Ok(()),
     };
     if proto != PROTO_VERSION || output_wire != OUTPUT_WIRE_VERSION {
-        let reason = format!(
+        return Err(proto_err(format!(
             "version mismatch: coordinator speaks proto {PROTO_VERSION} / output v{OUTPUT_WIRE_VERSION}, \
              worker offered proto {proto} / output v{output_wire}"
-        );
-        send_msg(stream, &Msg::Deny { reason: reason.clone() }).await?;
-        return Err(proto_err(reason));
+        )));
     }
     send_msg(stream, &Msg::Job { job: Box::new(coord.job.clone()) }).await?;
     loop {
-        let Some(msg) = recv_msg(stream).await? else { return Ok(()) };
+        let msg = match recv_msg(stream, coord.result_cap).await {
+            Ok(Some(msg)) => msg,
+            Ok(None) => return Ok(()),
+            // Over the cap or undecodable: the frame is refused, and a
+            // worker's large frames are its results.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                coord.refuse(&coord.leased_by(conn), &e.to_string());
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        };
         match msg {
             Msg::Ready => {
                 let grant = coord.grant_at(conn, Instant::now());
                 let done = matches!(grant, Msg::Done);
                 send_msg(stream, &grant).await?;
+                coord.set_owed(owes, false);
                 if done {
                     return Ok(());
                 }
             }
             Msg::Heartbeat { slice } => coord.heartbeat_at(conn, slice as usize, Instant::now()),
-            Msg::Result { slice, output } => coord.record(slice as usize, *output)?,
+            Msg::Result { slice, output } => {
+                // Owed before the record can complete the campaign, so
+                // the coordinator never sees completion without it.
+                coord.set_owed(owes, true);
+                if let Err(e) = coord.record(slice as usize, *output) {
+                    coord.refuse(&[slice as usize], &e.to_string());
+                    return Err(e);
+                }
+            }
             other => {
                 return Err(proto_err(format!("unexpected {} from worker", other.kind())));
             }
@@ -622,14 +776,21 @@ async fn drive_conn(stream: &mut TcpStream, coord: &Coord, conn: u64) -> io::Res
 
 async fn serve_conn(mut stream: TcpStream, coord: Arc<Coord>) {
     let conn = coord.next_conn();
-    let res = drive_conn(&mut stream, &coord, conn).await;
+    let mut owes = false;
+    let res = drive_conn(&mut stream, &coord, conn, &mut owes).await;
     // Dropping the leases *after* the connection ends covers every exit:
     // clean Done (no leases left), worker death (re-lease now), protocol
     // error (ditto).
     coord.release_all_at(conn, Instant::now());
     if let Err(e) = res {
+        // A protocol error is the worker's to hear about: say why before
+        // hanging up (best effort — the peer may already be gone).
+        if e.kind() == io::ErrorKind::InvalidData {
+            let _ = send_msg(&mut stream, &Msg::Deny { reason: e.to_string() }).await;
+        }
         eprintln!("mpath coordinator: worker connection {conn} failed: {e}");
     }
+    coord.set_owed(&mut owes, false);
 }
 
 /// Runs a campaign as the coordinator: accepts workers on `listener`,
@@ -643,6 +804,9 @@ async fn serve_conn(mut stream: TcpStream, coord: Arc<Coord>) {
 /// The returned report's output is byte-identical to running the same
 /// [`CampaignJob`] locally at any shard count — that is the whole point,
 /// and `tests/distributed_equivalence.rs` holds it to the fingerprint.
+///
+/// Fails, naming the slice, once one slice's result has been refused
+/// [`MAX_RESULT_REFUSALS`] times.
 pub fn serve_campaign(
     listener: std::net::TcpListener,
     job: CampaignJob,
@@ -653,7 +817,7 @@ pub fn serve_campaign(
     let coord = Arc::new(Coord::new(job, slices, opts));
     tokio::runtime::block_on(async {
         let listener = TcpListener::from_std(listener)?;
-        while !coord.finished() {
+        while !coord.finished() && coord.failure().is_none() {
             tokio::select! {
                 _ = coord.done.notified() => {}
                 accepted = listener.accept() => {
@@ -662,9 +826,32 @@ pub fn serve_campaign(
                 }
             }
         }
+        // A worker whose result is not yet acknowledged (typically the
+        // one that delivered the last slice) must hear `Done`, not a bare
+        // hang-up, or it cannot tell delivered work from lost work. Wait
+        // for those acknowledgements only, and at most one lease timeout
+        // from completion: a peer that merely stays connected (idle,
+        // heartbeating, or still computing a re-leased duplicate) does
+        // not hold the campaign's return.
+        let deadline = Instant::now() + coord.opts.lease_timeout;
+        while coord.failure().is_none() && coord.state.lock().unwrap().owed > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            // Re-check at least every 50 ms: a notification that lands
+            // between the check and the wait is not lost for long.
+            tokio::select! {
+                _ = coord.done.notified() => {}
+                _ = tokio::time::sleep(left.min(Duration::from_millis(50))) => {}
+            }
+        }
         io::Result::Ok(())
     })?;
     let mut st = coord.state.lock().unwrap();
+    if let Some(failure) = st.failure.take() {
+        return Err(io::Error::other(format!("campaign failed: {failure}")));
+    }
     assert_eq!(st.next_merge, slices, "pending hit zero with unmerged slices");
     Ok(ServeReport {
         output: st.merged.take().expect("a campaign has at least one slice"),
@@ -676,9 +863,8 @@ pub fn serve_campaign(
     })
 }
 
-/// Treats connection loss after handshake as the campaign ending: the
-/// coordinator only goes away once every slice has resolved.
-fn closed_cleanly(e: &io::Error) -> bool {
+/// Socket errors that mean the peer hung up.
+fn hung_up(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::UnexpectedEof
@@ -689,10 +875,57 @@ fn closed_cleanly(e: &io::Error) -> bool {
     )
 }
 
+fn denied(reason: String) -> io::Error {
+    proto_err(format!("coordinator refused this worker: {reason}"))
+}
+
+/// What a worker's connection state says about the coordinator hanging
+/// up (`lost` is the socket error that revealed it, `None` for a clean
+/// EOF).
+///
+/// A `Deny` sent just before the hang-up explains it best. Otherwise
+/// the hang-up is the campaign ending without this worker only when
+/// nothing of the worker's is in flight: a held lease or an
+/// unacknowledged result means work was lost, and that is an error.
+async fn coordinator_gone(
+    stream: &mut TcpStream,
+    lost: Option<io::Error>,
+    outstanding: usize,
+    unacked: usize,
+    slices_run: u64,
+) -> io::Result<WorkerReport> {
+    if lost.is_some() {
+        // The socket is dead, so this read returns at once; the timeout
+        // only guards against a half-open peer.
+        let pending = tokio::time::timeout(
+            Duration::from_millis(500),
+            recv_msg(stream, CONTROL_FRAME_CAP),
+        )
+        .await;
+        if let Ok(Ok(Some(Msg::Deny { reason }))) = pending {
+            return Err(denied(reason));
+        }
+    }
+    if let Some(e) = lost {
+        if !hung_up(&e) {
+            return Err(e);
+        }
+    }
+    if outstanding == 0 && unacked == 0 {
+        return Ok(WorkerReport { slices_run, coordinator_closed: true });
+    }
+    Err(io::Error::new(
+        io::ErrorKind::ConnectionAborted,
+        format!(
+            "coordinator hung up without Done while {outstanding} lease(s) were outstanding \
+             and {unacked} result(s) unacknowledged"
+        ),
+    ))
+}
+
 /// Runs the worker side: connect, handshake, then lease up to
 /// [`WorkerOptions::jobs`] slices at a time until the coordinator says
-/// [`Msg::Done`] (or vanishes — see
-/// [`WorkerReport::coordinator_closed`]).
+/// [`Msg::Done`].
 ///
 /// Each leased slice simulates on its own OS thread while the worker's
 /// runtime thread owns the socket: it tops the lease set up with
@@ -702,6 +935,13 @@ fn closed_cleanly(e: &io::Error) -> bool {
 /// interval re-arms every outstanding lease. The exchange stays
 /// strictly request/response — the coordinator only ever speaks when
 /// spoken to — so pipelining needs no protocol change at all.
+///
+/// Errors — with the coordinator's reason when it sent a
+/// [`Msg::Deny`] — when the coordinator refuses the worker, when a
+/// result would exceed the job's [`CampaignJob::result_frame_cap`], or
+/// when the coordinator hangs up without `Done` while a lease or an
+/// unacknowledged result is outstanding. A hang-up with nothing
+/// outstanding is a clean exit ([`WorkerReport::coordinator_closed`]).
 pub fn run_worker<A: std::net::ToSocketAddrs + Send + 'static>(
     addr: A,
     opts: WorkerOptions,
@@ -714,22 +954,21 @@ pub fn run_worker<A: std::net::ToSocketAddrs + Send + 'static>(
             &Msg::Hello { proto: PROTO_VERSION, output_wire: OUTPUT_WIRE_VERSION },
         )
         .await?;
-        let job = match recv_msg(&mut stream).await? {
+        let job = match recv_msg(&mut stream, CONTROL_FRAME_CAP).await? {
             Some(Msg::Job { job }) => *job,
-            Some(Msg::Deny { reason }) => return Err(proto_err(reason)),
+            Some(Msg::Deny { reason }) => return Err(denied(reason)),
             Some(other) => return Err(proto_err(format!("expected Job, got {}", other.kind()))),
             None => return Err(proto_err("coordinator closed during handshake")),
         };
         job.validate().map_err(proto_err)?;
         let plan_len = job.plan().len() as u64;
+        let result_cap = job.result_frame_cap();
         let mut slices_run = 0u64;
-        let closed = |e: io::Error, slices_run: u64| {
-            if closed_cleanly(&e) {
-                Ok(WorkerReport { slices_run, coordinator_closed: true })
-            } else {
-                Err(e)
-            }
-        };
+        // Results sent since the coordinator last answered a `Ready`. It
+        // handles one connection's frames in order and drops the worker
+        // on a refused result, so any grant acknowledges every result
+        // before it.
+        let mut unacked = 0usize;
         // Finished computes flow back over one channel. Capacity `jobs`
         // means a compute thread's `try_send` can never find the queue
         // full: at most `jobs` computes are outstanding and each sends
@@ -742,16 +981,27 @@ pub fn run_worker<A: std::net::ToSocketAddrs + Send + 'static>(
             // Top the lease set up to `jobs` slices.
             while !done && outstanding.len() < jobs {
                 if let Err(e) = send_msg(&mut stream, &Msg::Ready).await {
-                    return closed(e, slices_run);
+                    let held = outstanding.len();
+                    return coordinator_gone(&mut stream, Some(e), held, unacked, slices_run).await;
                 }
-                let grant = match recv_msg(&mut stream).await {
+                let grant = match recv_msg(&mut stream, CONTROL_FRAME_CAP).await {
                     Ok(Some(msg)) => msg,
-                    Ok(None) => return Ok(WorkerReport { slices_run, coordinator_closed: true }),
-                    Err(e) => return closed(e, slices_run),
+                    Ok(None) => {
+                        let held = outstanding.len();
+                        return coordinator_gone(&mut stream, None, held, unacked, slices_run)
+                            .await;
+                    }
+                    Err(e) => {
+                        let held = outstanding.len();
+                        return coordinator_gone(&mut stream, Some(e), held, unacked, slices_run)
+                            .await;
+                    }
                 };
                 match grant {
+                    Msg::Deny { reason } => return Err(denied(reason)),
                     Msg::Done => done = true,
                     Msg::Wait { poll_ms } => {
+                        unacked = 0;
                         if outstanding.is_empty() {
                             tokio::time::sleep(Duration::from_millis(poll_ms.clamp(1, 10_000)))
                                 .await;
@@ -762,6 +1012,7 @@ pub fn run_worker<A: std::net::ToSocketAddrs + Send + 'static>(
                         }
                     }
                     Msg::Lease { slice } => {
+                        unacked = 0;
                         if slice >= plan_len {
                             return Err(proto_err(format!(
                                 "lease {slice} outside the {plan_len}-slice plan"
@@ -805,20 +1056,30 @@ pub fn run_worker<A: std::net::ToSocketAddrs + Send + 'static>(
                             return Err(proto_err(format!("slice {slice} simulation panicked")))
                         }
                     };
-                    if let Err(e) =
-                        send_msg(&mut stream, &Msg::Result { slice, output: Box::new(output) })
-                            .await
-                    {
-                        return closed(e, slices_run);
+                    let frame = encode_msg(&Msg::Result { slice, output: Box::new(output) });
+                    let body = frame.len() - 4;
+                    if body > result_cap {
+                        return Err(proto_err(format!(
+                            "slice {slice}'s result encodes to {body} bytes, above the job's \
+                             {result_cap}-byte result frame cap"
+                        )));
+                    }
+                    outstanding.retain(|&s| s != slice);
+                    if let Err(e) = stream.write_all(&frame).await {
+                        let held = outstanding.len();
+                        let lost = unacked + 1; // this result never arrived
+                        return coordinator_gone(&mut stream, Some(e), held, lost, slices_run).await;
                     }
                     slices_run += 1;
-                    outstanding.retain(|&s| s != slice);
+                    unacked += 1;
                 }
                 Ok(None) => unreachable!("the worker loop holds a live sender"),
                 Err(_elapsed) => {
                     for &slice in &outstanding {
                         if let Err(e) = send_msg(&mut stream, &Msg::Heartbeat { slice }).await {
-                            return closed(e, slices_run);
+                            let held = outstanding.len();
+                            return coordinator_gone(&mut stream, Some(e), held, unacked, slices_run)
+                                .await;
                         }
                     }
                 }
@@ -876,6 +1137,76 @@ mod tests {
         let mut r = Cursor::new(u32::MAX.to_be_bytes().to_vec());
         let err = read_msg_blocking(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn deeply_nested_frame_is_an_error_not_a_stack_overflow() {
+        let body = "[".repeat(200_000);
+        let mut wire = (body.len() as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(body.as_bytes());
+        let err = read_msg_blocking(&mut Cursor::new(wire)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nesting deeper than"), "got: {err}");
+    }
+
+    #[test]
+    fn frame_caps_are_enforced_per_reader() {
+        let frame = encode_msg(&Msg::Deny { reason: "x".repeat(1000) });
+        let err = read_msg_capped(&mut Cursor::new(frame.clone()), 100).unwrap_err();
+        assert!(err.to_string().contains("exceeds cap 100"), "got: {err}");
+        assert!(read_msg_capped(&mut Cursor::new(frame), CONTROL_FRAME_CAP).is_ok());
+        // A control-sized reader refuses a result-sized prefix outright,
+        // before allocating its body.
+        let prefix = ((CONTROL_FRAME_CAP + 1) as u32).to_be_bytes().to_vec();
+        let err = read_msg_capped(&mut Cursor::new(prefix), CONTROL_FRAME_CAP).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn result_frame_cap_bounds_real_results_and_scales_with_the_mesh() {
+        let mut sparse = small_job();
+        sparse.spec = ScenarioRegistry::builtin().get("sparse-mesh").expect("builtin").clone();
+        sparse.spec.topology =
+            crate::TopologySpec::SparseSynthetic { hosts: 24, edge_loss: 0.02, mesh_k: 4 };
+        sparse.duration_us = SimDuration::from_secs(20).as_micros();
+        sparse.slice_width_us = SimDuration::from_secs(10).as_micros();
+        for job in [small_job(), sparse] {
+            let cap = job.result_frame_cap();
+            let out = job.run_slice_index(0);
+            assert!(job.output_shape().check(&out).is_ok());
+            let body = encode_msg(&Msg::Result { slice: 0, output: Box::new(out) }).len() - 4;
+            let name = &job.spec.name;
+            assert!(body <= cap, "{name}: a real result ({body} B) exceeds its cap {cap}");
+        }
+        // The cap follows the probed pairs, not n²: a 240-host k=6 mesh
+        // stays in single-digit megabytes.
+        let mut big = small_job();
+        big.spec = ScenarioRegistry::builtin().get("sparse-mesh").expect("builtin").clone();
+        big.spec.topology =
+            crate::TopologySpec::SparseSynthetic { hosts: 240, edge_loss: 0.02, mesh_k: 6 };
+        let cap = big.result_frame_cap();
+        assert!(cap < 8 << 20, "240-host k=6 result cap is {cap} B");
+    }
+
+    #[test]
+    fn refusals_fail_the_campaign_after_the_limit() {
+        let job = small_job();
+        let coord = Coord::new(job, 2, ServeOptions::default());
+        let t0 = Instant::now();
+        assert!(matches!(coord.grant_at(1, t0), Msg::Lease { slice: 0 }));
+        for round in 1..=MAX_RESULT_REFUSALS {
+            assert!(coord.failure().is_none(), "failed early, before refusal {round}");
+            coord.refuse(&coord.leased_by(1), "test refusal");
+        }
+        let failure = coord.failure().expect("the third refusal fails the campaign");
+        assert!(failure.contains("slice 0") && failure.contains("test refusal"), "{failure}");
+        // A resolved slice no longer counts refusals.
+        let coord = Coord::new(small_job(), 2, ServeOptions::default());
+        coord.record(1, small_job().run_slice_index(1)).unwrap();
+        for _ in 0..MAX_RESULT_REFUSALS {
+            coord.refuse(&[1], "late duplicate");
+        }
+        assert!(coord.failure().is_none());
     }
 
     #[test]

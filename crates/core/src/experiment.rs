@@ -19,7 +19,7 @@
 //!    outcomes into the loss and window statistics.
 
 use crate::method::MethodSet;
-use analysis::{Fnv, LossAccum, WindowAccum};
+use analysis::{Fnv, LossAccum, PairIndex, WindowAccum};
 use netsim::{
     Delivery, EventQueue, HostId, LoadProfile, NetCounters, Rng, SimDuration, SimTime, Topology,
 };
@@ -27,6 +27,7 @@ use overlay::{
     Delivered, DisseminationMode, MeasureKind, NodeConfig, OverlayNode, Packet, Policy, Route,
     RouteTag, Transmit,
 };
+use std::sync::Arc;
 use trace::{Collector, CollectorConfig, CollectorStats, PairOutcome, RecvEvent, SendEvent};
 
 /// Experiment parameters.
@@ -215,13 +216,16 @@ impl ExperimentOutput {
 /// (v2: `CollectorStats` gained `peak_pending` — a v1 binary's strict
 /// field check would reject the new map only *after* a successful
 /// handshake, so the version must say no first. v3: `NetCounters`
-/// gained `lsa_bytes`/`lsa_entries` for dissemination accounting.)
-pub const OUTPUT_WIRE_VERSION: u32 = 3;
+/// gained `lsa_bytes`/`lsa_entries` for dissemination accounting. v4:
+/// the accumulators moved to serde v2 — cells keyed by the probed pair
+/// set, finished windows carry no open cells.)
+pub const OUTPUT_WIRE_VERSION: u32 = 4;
 
-// Versioned wire format (v3): the exact in-memory state crosses the
-// wire — every accumulator cell and the bit patterns of every f64 sum —
-// so a slice result computed on another host merges byte-identically to
-// one computed locally. `duration` travels as integer microseconds.
+// Versioned wire format (v4): the exact in-memory state crosses the
+// wire — every probed pair's accumulator cells and the bit patterns of
+// every f64 sum — so a slice result computed on another host merges
+// byte-identically to one computed locally. `duration` travels as
+// integer microseconds.
 impl serde::Serialize for ExperimentOutput {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![
@@ -279,6 +283,18 @@ impl serde::Deserialize for ExperimentOutput {
                  {OUTPUT_WIRE_VERSION})"
             )));
         }
+        // Outputs are finished, so their window accumulators carry no
+        // open cells. Checked before decoding them: open cells make the
+        // decoder allocate the full cell grid, whose size only the
+        // header states.
+        for name in ["win20", "win60"] {
+            let open = v.field(name)?.field("open")?;
+            if !matches!(open, serde::Value::Seq(rows) if rows.is_empty()) {
+                return Err(serde::Error::new(format!(
+                    "ExperimentOutput: {name} has open windows (outputs are finished)"
+                )));
+            }
+        }
         let out = ExperimentOutput {
             scenario: String::from_value(v.field("scenario")?)?,
             spec_digest: u64::from_value(v.field("spec_digest")?)?,
@@ -301,7 +317,112 @@ impl serde::Deserialize for ExperimentOutput {
                 out.n
             )));
         }
+        // Everything `merge_outputs` asserts on must be refused here, so
+        // a decoded output can never panic a merge.
+        for (name, w) in [("win20", &out.win20), ("win60", &out.win60)] {
+            if w.pairs() != out.loss.pairs() {
+                return Err(serde::Error::new(format!(
+                    "ExperimentOutput: {name} is keyed by a different pair set than loss"
+                )));
+            }
+            if w.methods() != out.names.len() {
+                return Err(serde::Error::new(format!(
+                    "ExperimentOutput: {name} tracks {} methods for {} names",
+                    w.methods(),
+                    out.names.len()
+                )));
+            }
+        }
+        if out.loss.methods() != out.names.len() {
+            return Err(serde::Error::new(format!(
+                "ExperimentOutput: loss tracks {} methods for {} names",
+                out.loss.methods(),
+                out.names.len()
+            )));
+        }
         Ok(out)
+    }
+}
+
+/// Window width of Figure 3's loss-rate samples.
+const WIN20: SimDuration = SimDuration::from_mins(20);
+/// Window width of Table 6's high-loss periods.
+const WIN60: SimDuration = SimDuration::from_hours(1);
+
+/// The pairs a campaign over `n` hosts probes: its sparse probe mesh,
+/// or the full clique when it has none.
+fn pair_index(n: usize, mesh: Option<&[Vec<u16>]>) -> PairIndex {
+    match mesh {
+        Some(mesh) => PairIndex::from_neighbor_lists(n, mesh),
+        None => PairIndex::clique(n),
+    }
+}
+
+/// What every slice output of one campaign must look like: the
+/// scenario, method registry, probed pair set and depth the job pins
+/// down. The coordinator checks each received result against it before
+/// a merge (which asserts on all of these) can see it, and sizes result
+/// frames by it.
+#[derive(Debug, Clone)]
+pub(crate) struct OutputShape {
+    scenario: String,
+    names: Vec<String>,
+    pairs: PairIndex,
+    /// Maximum legs any method sends.
+    max_legs: usize,
+}
+
+impl OutputShape {
+    /// The shape of a campaign under `cfg` over `n` hosts probing `mesh`
+    /// (`None`: the full clique) — no testbed needed.
+    pub(crate) fn of(n: usize, mesh: Option<&[Vec<u16>]>, cfg: &ExperimentConfig) -> OutputShape {
+        OutputShape {
+            scenario: cfg.scenario.clone(),
+            names: cfg.methods.names(),
+            pairs: pair_index(n, mesh),
+            max_legs: cfg.methods.max_legs().max(1),
+        }
+    }
+
+    /// Refuses an output whose shape differs from the campaign's.
+    pub(crate) fn check(&self, out: &ExperimentOutput) -> Result<(), String> {
+        if out.scenario != self.scenario {
+            return Err(format!("scenario {:?}, campaign runs {:?}", out.scenario, self.scenario));
+        }
+        if out.names != self.names {
+            return Err(format!("methods {:?}, campaign runs {:?}", out.names, self.names));
+        }
+        if out.loss.pairs().as_ref() != &self.pairs || out.loss.depth() != self.max_legs {
+            return Err(format!(
+                "accumulators keyed by {} pairs at depth {}, campaign probes {} at depth {}",
+                out.loss.pairs().len(),
+                out.loss.depth(),
+                self.pairs.len(),
+                self.max_legs
+            ));
+        }
+        if out.win20.width() != WIN20 || out.win60.width() != WIN60 {
+            return Err("window widths differ from 20 min / 1 h".into());
+        }
+        Ok(())
+    }
+
+    /// An upper bound on the JSON size of a finished slice output of
+    /// this shape, framed as a [`crate::distrib::Msg::Result`]. The
+    /// accumulators bound themselves; this adds the envelope. A result
+    /// frame above it cannot be an honest result.
+    pub(crate) fn max_encoded_len(&self) -> usize {
+        let methods = self.names.len();
+        // `\u00XX` per byte, quotes, comma.
+        let text = |s: &str| 6 * s.len() + 3;
+        // Keys, scalar counters and framing: a few hundred bytes, with
+        // headroom.
+        const FIXED: usize = 4096;
+        FIXED
+            .saturating_add(text(&self.scenario))
+            .saturating_add(self.names.iter().map(|n| text(n)).sum::<usize>())
+            .saturating_add(LossAccum::max_encoded_len(&self.pairs, methods, self.max_legs))
+            .saturating_add(2 * WindowAccum::max_finished_encoded_len(&self.pairs, methods))
     }
 }
 
@@ -382,6 +503,8 @@ impl Runner {
         );
         let root = Rng::new(cfg.seed ^ 0x00E0_77E5_7A11_BEEF);
         let mesh = topo.probe_mesh().cloned();
+        // One pair index per slice, shared by all three accumulators.
+        let pairs = Arc::new(pair_index(n, topo.probe_mesh().map(|m| m.as_slice())));
         let mut net = netsim::Network::new(topo, cfg.seed);
         if cfg.flat_load {
             net.set_load(LoadProfile::flat());
@@ -401,10 +524,10 @@ impl Runner {
         let collector = Collector::new(n, cfg.collector);
         // Depth (max legs over the set) sizes the best-of-first-j curve;
         // pair-shaped sets keep the exact historical accumulator layout.
-        let loss = LossAccum::with_depth(n, total_methods, cfg.methods.max_legs());
+        let loss = LossAccum::with_pairs(pairs.clone(), total_methods, cfg.methods.max_legs());
         // total_methods counts real methods plus inferred views.
-        let win20 = WindowAccum::new(n, total_methods, SimDuration::from_mins(20));
-        let win60 = WindowAccum::new(n, total_methods, SimDuration::from_hours(1));
+        let win20 = WindowAccum::with_pairs(pairs.clone(), total_methods, WIN20);
+        let win60 = WindowAccum::with_pairs(pairs, total_methods, WIN60);
         Runner {
             rng: root.derive(7),
             cfg,
@@ -1027,6 +1150,36 @@ mod tests {
         assert!(a.collector.resolved > 0, "gossip-mode routing must still resolve pairs");
         assert!(a.net.lsa_bytes > 0, "gossip rounds must be accounted");
         assert_eq!(a.fingerprint(), run().fingerprint(), "gossip mode is deterministic");
+    }
+
+    #[test]
+    fn decoding_refuses_outputs_a_merge_would_panic_on() {
+        use serde::{Deserialize, Serialize};
+        let topo = Topology::synthetic(4, 0.02, 59);
+        let out = run_experiment(topo, quick_cfg(MethodSet::ron_narrow(), 59, 20));
+        let wire = out.to_value();
+        let back = ExperimentOutput::from_value(&wire).expect("own encoding decodes");
+        assert_eq!(back.fingerprint(), out.fingerprint());
+        // Replaces `acc.key` inside the encoded output.
+        let patched = |acc: &str, key: &str, new: serde::Value| {
+            let serde::Value::Map(mut top) = wire.clone() else { unreachable!() };
+            for (k, v) in top.iter_mut() {
+                if k == acc {
+                    let serde::Value::Map(fields) = v else { unreachable!() };
+                    for (fk, fv) in fields.iter_mut() {
+                        if fk == key {
+                            *fv = new.clone();
+                        }
+                    }
+                }
+            }
+            let err = ExperimentOutput::from_value(&serde::Value::Map(top)).map(|_| ());
+            err.unwrap_err().to_string()
+        };
+        let open = vec![(0usize, 0u64, 1u32, 0u32)].to_value();
+        assert!(patched("win20", "open", open).contains("open windows"));
+        let mesh = vec![vec![1u16], vec![0], vec![0], vec![0]].to_value();
+        assert!(patched("win60", "mesh", mesh).contains("different pair set"));
     }
 
     #[test]

@@ -83,6 +83,21 @@ impl TopologySpec {
         }
     }
 
+    /// The probe mesh a campaign seeded `seed` installs on this
+    /// topology (`None`: every host probes every other), without
+    /// building the testbed. Seed-derived: campaign entry points (run,
+    /// run_sharded, the distributed job) all build the topology with the
+    /// *master* seed, so every slice, shard and worker derives the
+    /// identical mesh.
+    pub fn probe_mesh(&self, seed: u64) -> Option<Vec<Vec<u16>>> {
+        match *self {
+            TopologySpec::SparseSynthetic { hosts, mesh_k, .. } => {
+                Some(netsim::sparse_mesh(hosts, mesh_k, seed))
+            }
+            _ => None,
+        }
+    }
+
     /// The sparse probe-mesh degree, when this topology declares one.
     pub fn mesh_k(&self) -> Option<usize> {
         match self {
@@ -578,16 +593,13 @@ impl ScenarioSpec {
             TopologySpec::Synthetic { hosts, edge_loss } => {
                 Topology::synthetic_with(hosts, edge_loss, params, seed)
             }
-            TopologySpec::SparseSynthetic { hosts, edge_loss, mesh_k } => {
-                let mut t = Topology::synthetic_with(hosts, edge_loss, params, seed);
-                // Seed-derived: campaign entry points (run, run_sharded,
-                // the distributed job) all build the topology with the
-                // *master* seed, so every slice, shard and worker
-                // derives the identical mesh.
-                t.set_probe_mesh(netsim::sparse_mesh(hosts, mesh_k, seed));
-                t
+            TopologySpec::SparseSynthetic { hosts, edge_loss, .. } => {
+                Topology::synthetic_with(hosts, edge_loss, params, seed)
             }
         };
+        if let Some(mesh) = self.topology.probe_mesh(seed) {
+            topo.set_probe_mesh(mesh);
+        }
         if let Some(sr) = &self.impairments.shared_risk {
             apply_shared_risk(&mut topo, sr, seed);
         }

@@ -453,3 +453,186 @@ fn version_skewed_worker_is_denied_without_harming_the_campaign() {
     }
     assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
 }
+
+/// A fake coordinator: accepts one worker, completes the handshake with
+/// `j`, answers its first `Ready` with `grant`, then lets `after` decide
+/// the connection's fate.
+fn fake_coordinator(
+    j: &CampaignJob,
+    grant: Msg,
+    after: impl FnOnce(TcpStream) + Send + 'static,
+) -> std::thread::JoinHandle<std::io::Result<WorkerReport>> {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let worker = std::thread::spawn(move || run_worker(addr, fast_worker()));
+    let (mut s, _peer) = listener.accept().expect("worker connects");
+    assert!(matches!(read_msg_blocking(&mut s).unwrap(), Some(Msg::Hello { .. })));
+    write_msg_blocking(&mut s, &Msg::Job { job: Box::new(j.clone()) }).unwrap();
+    assert!(matches!(read_msg_blocking(&mut s).unwrap(), Some(Msg::Ready)));
+    write_msg_blocking(&mut s, &grant).unwrap();
+    after(s);
+    worker
+}
+
+#[test]
+fn worker_fails_when_the_coordinator_hangs_up_on_an_outstanding_lease() {
+    // The coordinator grants slice 0 and vanishes without Done: the
+    // worker's simulation is lost work, and it must say so — not report
+    // "campaign finished" and exit 0.
+    let worker = fake_coordinator(&job("ron-narrow"), Msg::Lease { slice: 0 }, drop);
+    let err = worker.join().expect("worker thread").unwrap_err();
+    assert!(err.to_string().contains("without Done"), "got: {err}");
+}
+
+#[test]
+fn worker_exits_cleanly_when_nothing_of_its_is_outstanding() {
+    // No lease held, no result unacknowledged: a hang-up after Wait is
+    // the campaign ending elsewhere.
+    let worker = fake_coordinator(&job("ron-narrow"), Msg::Wait { poll_ms: 20 }, drop);
+    let report = worker.join().expect("worker thread").expect("clean exit");
+    assert!(report.coordinator_closed);
+    assert_eq!(report.slices_run, 0);
+}
+
+#[test]
+fn worker_reports_the_coordinators_deny_reason() {
+    let deny = Msg::Deny { reason: "slice 3 refused: test says no".into() };
+    let worker = fake_coordinator(&job("ron-narrow"), deny, drop);
+    let err = worker.join().expect("worker thread").unwrap_err();
+    assert!(err.to_string().contains("test says no"), "reason lost: {err}");
+}
+
+#[test]
+fn a_slice_refused_three_times_fails_the_campaign_by_name() {
+    // One slice, three fake workers, three kinds of refusal: an
+    // undecodable frame, a length prefix above the job's result cap, and
+    // a result from a different campaign. Each is denied with its reason
+    // and the slice re-leased; the third fails the campaign.
+    let mut j = job("ron-narrow");
+    j.duration_us = j.slice_width_us;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let serve_job = j.clone();
+    let coordinator =
+        std::thread::spawn(move || serve_campaign(listener, serve_job, fast_serve()).map(|_| ()));
+    let mut alien = j.run_slice_index(0);
+    alien.spec_digest ^= 1;
+    let cap = j.result_frame_cap() as u32;
+    let mut payloads: Vec<Vec<u8>> = vec![
+        [&5u32.to_be_bytes()[..], b"{oops"].concat(),
+        (cap + 1).to_be_bytes().to_vec(),
+        mpath::core::distrib::encode_msg(&Msg::Result { slice: 0, output: Box::new(alien) }),
+    ];
+    for (round, payload) in payloads.drain(..).enumerate() {
+        let mut s = fake_handshake(addr);
+        assert_eq!(lease_slice(&mut s), 0, "round {round}: the one slice is re-leased");
+        std::io::Write::write_all(&mut s, &payload).unwrap();
+        match read_msg_blocking(&mut s) {
+            Ok(Some(Msg::Deny { reason })) => assert!(!reason.is_empty()),
+            other => panic!("round {round}: expected a Deny, got {other:?}"),
+        }
+    }
+    let err = coordinator.join().expect("coordinator thread").unwrap_err().to_string();
+    assert!(err.contains("slice 0") && err.contains("refused 3 times"), "got: {err}");
+}
+
+#[test]
+fn hostile_frames_cannot_crash_a_live_coordinator() {
+    let j = job("ron-narrow");
+    let (coordinator, addr) = spawn_coordinator(&j);
+    // 200 000 unclosed brackets as one frame once overflowed the
+    // coordinator's stack; now the parser's depth bound refuses it.
+    let mut nested = TcpStream::connect(addr).expect("connect");
+    let body = "[".repeat(200_000);
+    std::io::Write::write_all(&mut nested, &(body.len() as u32).to_be_bytes()).unwrap();
+    std::io::Write::write_all(&mut nested, body.as_bytes()).unwrap();
+    match read_msg_blocking(&mut nested) {
+        Ok(Some(Msg::Deny { reason })) => assert!(reason.contains("nesting"), "{reason}"),
+        other => panic!("expected a Deny, got {other:?}"),
+    }
+    // A 64 MiB length prefix before the handshake is refused without
+    // the allocation.
+    let mut greedy = TcpStream::connect(addr).expect("connect");
+    std::io::Write::write_all(&mut greedy, &(64u32 << 20).to_be_bytes()).unwrap();
+    match read_msg_blocking(&mut greedy) {
+        Ok(Some(Msg::Deny { reason })) => assert!(reason.contains("exceeds cap"), "{reason}"),
+        other => panic!("expected a Deny, got {other:?}"),
+    }
+    // The coordinator kept running: an honest worker finishes the job.
+    let workers = spawn_workers(addr, 1);
+    let rep = coordinator.join().expect("coordinator thread");
+    for w in workers {
+        assert!(!w.join().expect("worker thread").coordinator_closed, "workers hear Done");
+    }
+    assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
+}
+
+#[test]
+fn a_result_from_another_scenario_is_denied_and_the_campaign_still_finishes() {
+    // Right spec digest, right pair set and methods, wrong `scenario`:
+    // the merge would assert on it, so the coordinator must refuse it
+    // before the merge sees it — and keep serving.
+    let j = job("ron-narrow");
+    let (coordinator, addr) = spawn_coordinator(&j);
+    let mut s = fake_handshake(addr);
+    let slice = lease_slice(&mut s);
+    let mut renamed = j.run_slice_index(slice as usize);
+    renamed.scenario.push_str("-elsewhere");
+    write_msg_blocking(&mut s, &Msg::Result { slice, output: Box::new(renamed) }).unwrap();
+    // A coordinator that accepts the result never answers: fail, not hang.
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    match read_msg_blocking(&mut s) {
+        Ok(Some(Msg::Deny { reason })) => assert!(reason.contains("scenario"), "{reason}"),
+        other => panic!("expected a Deny, got {other:?}"),
+    }
+    let workers = spawn_workers(addr, 1);
+    let rep = coordinator.join().expect("coordinator thread");
+    for w in workers {
+        assert!(!w.join().expect("worker thread").coordinator_closed, "workers hear Done");
+    }
+    assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
+}
+
+#[test]
+fn a_peer_heartbeating_after_completion_does_not_hold_the_coordinator() {
+    // A connected peer that owes nothing and keeps sending frames must
+    // not keep `serve_campaign` from returning once every slice has
+    // merged. The lease timeout is long, so waiting on the peer would
+    // show as a stall of that length.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    let j = job("ron-narrow");
+    let lease_timeout = Duration::from_secs(30);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let serve_job = j.clone();
+    let coordinator = std::thread::spawn(move || {
+        let opts = ServeOptions { lease_timeout, poll_ms: 50 };
+        serve_campaign(listener, serve_job, opts).expect("campaign serves")
+    });
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut chatty = fake_handshake(addr);
+    let peer_stop = stop.clone();
+    let peer = std::thread::spawn(move || {
+        // Bounded, so a coordinator that waits on it still returns.
+        let give_up = std::time::Instant::now() + lease_timeout / 2;
+        while !peer_stop.load(Ordering::Relaxed) && std::time::Instant::now() < give_up {
+            if write_msg_blocking(&mut chatty, &Msg::Heartbeat { slice: 0 }).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    });
+    let workers = spawn_workers(addr, 1);
+    for w in workers {
+        let report = w.join().expect("worker thread");
+        assert!(!report.coordinator_closed, "the worker that finished the job hears Done");
+    }
+    let after_workers = std::time::Instant::now();
+    let rep = coordinator.join().expect("coordinator thread");
+    let lag = after_workers.elapsed();
+    stop.store(true, Ordering::Relaxed);
+    peer.join().expect("peer thread");
+    assert!(lag < lease_timeout / 6, "coordinator returned {lag:?} after the last worker");
+    assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
+}

@@ -81,6 +81,21 @@ fn wrong_type_is_rejected() {
     assert!(err.contains("expected number"), "got: {err}");
 }
 
+#[test]
+fn deeply_nested_scenario_file_is_an_error_not_a_stack_overflow() {
+    // 200 000 unclosed brackets once aborted `repro --scenario-file` with
+    // a stack overflow; the parser's depth bound turns it into an error.
+    let json = "[".repeat(200_000);
+    let err = serde_json::from_str::<ScenarioSpec>(&json).unwrap_err().to_string();
+    assert!(err.contains("nesting deeper than"), "got: {err}");
+    // Inside a real spec, too: the bound applies at every level.
+    let nested = format!("\"days\":{}", "[".repeat(200_000));
+    let json = builtin_json("ron2003").replace("\"days\":14.0", &nested);
+    assert!(json.len() > 200_000, "the nested value must land in the spec");
+    let err = serde_json::from_str::<ScenarioSpec>(&json).unwrap_err().to_string();
+    assert!(err.contains("nesting deeper than"), "got: {err}");
+}
+
 // ------------------------------------------------ method specs as data
 
 /// A scenario whose method set is fully user-defined, k-leg probes
